@@ -99,6 +99,9 @@ bool IsRelease(std::memory_order mo) {
 Runtime::Runtime(const Config& cfg, Chooser choose)
     : cfg_(cfg), choose_(std::move(choose)), preemptions_left_(cfg.preemption_bound) {
   trace_.reserve(kTraceCap);
+  // A new worker reads threads_[tid] in ThreadMain while its spawner may
+  // already be appending the next thread: threads_ must never reallocate.
+  threads_.reserve(kMaxModelThreads);
 }
 
 Runtime::~Runtime() = default;

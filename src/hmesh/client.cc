@@ -88,8 +88,7 @@ hsim::Task<void> RunClient(Mesh* mesh, std::uint32_t m, const ClientConfig& conf
   for (std::uint64_t i = 0; i < plan.size(); ++i) {
     const Tick scheduled = base + NsToTicks(plan[i].at_ns);
     co_await mesh->engine().WaitUntil(scheduled);
-    // The window is a memory brake, not a pacing device: sized so it only
-    // binds when the mesh is far beyond saturation.
+    // The window is a memory brake, not a pacing device (see client.h).
     while (ctx->in_flight >= config.window) {
       co_await p.BackoffDelay(64);
     }

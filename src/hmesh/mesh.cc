@@ -13,6 +13,13 @@ namespace hmesh {
 
 namespace {
 constexpr std::uint32_t kStripeWords = 4;
+
+// The lane pool an op's calls draw from: 0 = client lanes (kGet, kPut),
+// 1 = leaf lanes (an owner's fan-out and resync pulls).  See "Lanes and the
+// wait-for order" in mesh.h.
+std::uint32_t LaneClassOf(MeshOp op) {
+  return op == MeshOp::kGet || op == MeshOp::kPut ? 0 : 1;
+}
 }  // namespace
 
 const char* MeshOpName(MeshOp op) {
@@ -34,6 +41,7 @@ const char* MeshOpName(MeshOp op) {
 Mesh::Mesh(hsim::Engine* engine, const MeshConfig& config)
     : engine_(engine), config_(config), ring_(config.vnodes, config.seed) {
   nodes_.reserve(config_.machines);
+  channels_.resize(config_.machines * kLaneClasses * config_.lanes);
   for (std::uint32_t m = 0; m < config_.machines; ++m) {
     auto node = std::make_unique<Node>();
     node->machine = std::make_unique<hsim::Machine>(engine_, config_.member);
@@ -43,14 +51,11 @@ Mesh::Mesh(hsim::Engine* engine, const MeshConfig& config)
       node->store_words.push_back(
           &node->machine->AllocWord(w % config_.member.num_processors()));
     }
-    node->windows.resize(config_.machines * config_.lanes);
-    for (std::uint32_t lane = config_.lanes; lane-- > 0;) {
-      node->free_lanes.push_back(lane);
-    }
+    node->windows.resize(config_.machines * kLaneClasses * config_.lanes);
     nodes_.push_back(std::move(node));
+    ResetLanes(m);
     ring_.AddMachine(m);
   }
-  channels_.resize(config_.machines * config_.lanes);
   traffic_.assign(std::size_t{config_.machines} * config_.machines, 0);
 }
 
@@ -140,7 +145,7 @@ void Mesh::DeliverNow(const MeshPacket& packet) {
   if (packet.is_reply) {
     // Replies route straight to the initiating channel; the channel id names
     // the source machine, whose death voids all its pending calls.
-    const std::uint32_t src_machine = packet.channel / config_.lanes;
+    const std::uint32_t src_machine = packet.channel / (kLaneClasses * config_.lanes);
     if (nodes_[src_machine]->state == NodeState::kDown) {
       ++discarded_to_down_;
       return;
@@ -166,11 +171,12 @@ hsim::Task<CallOutcome> Mesh::Call(hsim::Processor& p, std::uint32_t src, std::u
                                    hflight::FlightRecord* rec) {
   Node& node = *nodes_[src];
   const std::uint64_t inc = node.incarnation;
-  Channel& ch = channels_[src * config_.lanes + lane];
+  Channel& ch = channels_[ChannelId(src, lane)];
   assert(!ch.busy && "lane handed to two concurrent calls");
+  assert(lane / config_.lanes == LaneClassOf(packet.op) && "op on a lane of the wrong class");
   ch.busy = true;
   packet.is_reply = false;
-  packet.channel = src * config_.lanes + lane;
+  packet.channel = ChannelId(src, lane);
   packet.seq = ++ch.next_seq;
   packet.src = src;
   packet.dst = dst;
@@ -241,22 +247,44 @@ hsim::Task<CallOutcome> Mesh::Call(hsim::Processor& p, std::uint32_t src, std::u
 
 // --- lanes --------------------------------------------------------------------
 
+std::uint32_t Mesh::ChannelId(std::uint32_t m, std::uint32_t lane) const {
+  return m * kLaneClasses * config_.lanes + lane;
+}
+
 hsim::Task<std::uint32_t> Mesh::AcquireLane(hsim::Processor& p, std::uint32_t m,
-                                            std::uint64_t inc) {
-  Node& node = *nodes_[m];
-  while (node.free_lanes.empty()) {
+                                            std::uint64_t inc, MeshOp op) {
+  std::vector<std::uint32_t>& pool = nodes_[m]->free_lanes[LaneClassOf(op)];
+  while (pool.empty()) {
     co_await p.BackoffDelay(config_.net_poll);
-    if (node.incarnation != inc) {
+    if (nodes_[m]->incarnation != inc) {
       co_return ~0u;
     }
   }
-  const std::uint32_t lane = node.free_lanes.back();
-  node.free_lanes.pop_back();
+  const std::uint32_t lane = pool.back();
+  pool.pop_back();
   co_return lane;
 }
 
 void Mesh::ReleaseLane(std::uint32_t m, std::uint32_t lane) {
-  nodes_[m]->free_lanes.push_back(lane);
+  nodes_[m]->free_lanes[lane / config_.lanes].push_back(lane);
+}
+
+void Mesh::ResetLanes(std::uint32_t m) {
+  // Keep each lane's sequence counter: seq numbers name the transport
+  // endpoint, not the incarnation, so stale replies from a previous life can
+  // never match a post-recovery call.
+  for (std::uint32_t cls = 0; cls < kLaneClasses; ++cls) {
+    std::vector<std::uint32_t>& pool = nodes_[m]->free_lanes[cls];
+    pool.clear();
+    for (std::uint32_t i = config_.lanes; i-- > 0;) {
+      const std::uint32_t lane = cls * config_.lanes + i;
+      Channel& ch = channels_[ChannelId(m, lane)];
+      const std::uint64_t seq = ch.next_seq;
+      ch = Channel{};
+      ch.next_seq = seq;
+      pool.push_back(lane);
+    }
+  }
 }
 
 // --- store --------------------------------------------------------------------
@@ -545,7 +573,7 @@ hsim::Task<PutResult> Mesh::ApplyPut(hsim::Processor& p, std::uint32_t m, std::u
       repair.value = recorded.value;
       repair.version = recorded.version;
       repair.op_id = op_id;
-      const std::uint32_t lane = co_await AcquireLane(p, m, inc);
+      const std::uint32_t lane = co_await AcquireLane(p, m, inc, repair.op);
       if (lane == ~0u) {
         co_return result;
       }
@@ -589,7 +617,7 @@ hsim::Task<PutResult> Mesh::ApplyPut(hsim::Processor& p, std::uint32_t m, std::u
     update.op_id = op_id;
     if (first) {
       first = false;
-      const std::uint32_t lane = co_await AcquireLane(p, m, inc);
+      const std::uint32_t lane = co_await AcquireLane(p, m, inc, update.op);
       if (lane == ~0u) {
         co_return result;
       }
@@ -605,7 +633,7 @@ hsim::Task<PutResult> Mesh::ApplyPut(hsim::Processor& p, std::uint32_t m, std::u
                         std::uint32_t dst, MeshPacket pkt,
                         std::shared_ptr<Fanout> state) -> hsim::Task<void> {
         hsim::Processor& pp = mesh->nodes_[src]->machine->processor(0);
-        const std::uint32_t lane = co_await mesh->AcquireLane(pp, src, my_inc);
+        const std::uint32_t lane = co_await mesh->AcquireLane(pp, src, my_inc, pkt.op);
         if (lane == ~0u) {
           ++state->abandoned;
           co_return;
@@ -673,7 +701,7 @@ hsim::Task<MeshStatus> Mesh::ClientRead(hsim::Processor& p, std::uint32_t m,
       co_await p.BackoffDelay(config_.net_poll);
       continue;
     }
-    const std::uint32_t lane = co_await AcquireLane(p, m, inc);
+    const std::uint32_t lane = co_await AcquireLane(p, m, inc, MeshOp::kGet);
     if (lane == ~0u) {
       co_return MeshStatus::kUnavailable;
     }
@@ -723,7 +751,7 @@ hsim::Task<MeshStatus> Mesh::ClientWrite(hsim::Processor& p, std::uint32_t m,
         co_return MeshStatus::kOk;
       }
     } else {
-      const std::uint32_t lane = co_await AcquireLane(p, m, inc);
+      const std::uint32_t lane = co_await AcquireLane(p, m, inc, MeshOp::kPut);
       if (lane == ~0u) {
         co_return MeshStatus::kUnavailable;
       }
@@ -773,17 +801,7 @@ void Mesh::Kill(std::uint32_t m) {
   for (SrcWindow& w : node.windows) {
     w = SrcWindow{};
   }
-  // Reset the node's outbound channels but keep each lane's sequence counter:
-  // seq numbers name the transport endpoint, not the incarnation, so stale
-  // replies from the previous life can never match a post-recovery call.
-  node.free_lanes.clear();
-  for (std::uint32_t lane = config_.lanes; lane-- > 0;) {
-    Channel& ch = channels_[m * config_.lanes + lane];
-    const std::uint64_t seq = ch.next_seq;
-    ch = Channel{};
-    ch.next_seq = seq;
-    node.free_lanes.push_back(lane);
-  }
+  ResetLanes(m);  // both lane classes: the old incarnation's calls are void
   node.timeline.killed_at = engine_->now();
 }
 
@@ -817,7 +835,7 @@ hsim::Task<bool> Mesh::PullFrom(hsim::Processor& p, std::uint32_t m, std::uint64
     if (!ring_.Contains(peer)) {
       co_return true;  // peer died mid-sync; its keys are covered by other holders
     }
-    const std::uint32_t lane = co_await AcquireLane(p, m, inc);
+    const std::uint32_t lane = co_await AcquireLane(p, m, inc, op);
     if (lane == ~0u) {
       co_return false;
     }

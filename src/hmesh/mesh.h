@@ -19,6 +19,23 @@
 // so FaultPlan::PartitionNode partitions a whole machine and chaos scenarios
 // need no per-link plumbing.
 //
+// Lanes and the wait-for order.  An initiator holds a lane for the whole of a
+// call, and an owner's put handler makes calls of its own (the kUpdate
+// fan-out, the dedup repair), so a single lane pool per machine admits a
+// cycle: client puts on A hold every lane of A while waiting on B's put
+// handlers, which wait for a lane on B held by client puts waiting on A's
+// handlers.  Nothing completes; callers retransmit forever.  The paper's
+// kernel avoided the same cycle by ordering resources so an RPC handler never
+// waits on one its caller holds.  Here the order is fixed by the message op:
+// each machine has `lanes` client-class lanes (kGet, kPut) and `lanes`
+// leaf-class lanes (kUpdate, kSyncPull, kSyncOps), AcquireLane picks the pool
+// from the op, and Call asserts the two agree.  The wait-for graph is then
+//   client lane -> remote kPut handler -> leaf lane -> remote inline handler
+//   in ServerLoop -> store resource,
+// and the last two never wait for a lane.  So every leaf call finishes, so
+// every put handler finishes, so every client lane is released: overload
+// queues for lanes but always drains.
+//
 // Membership.  A host-side directory (standing in for an external consensus
 // service; the engine is single-threaded so it is trivially linearizable)
 // tracks each member: kUp, kDown (crashed: store wiped, tasks fenced off by
@@ -127,7 +144,8 @@ struct MeshConfig {
   // larger than any plausible retry horizon at these timeouts.
   std::uint32_t dedup_window = 1024;
 
-  // Host-side channel lanes per machine (bounds concurrent outbound calls).
+  // Host-side channel lanes per machine and lane class (bounds concurrent
+  // outbound calls: `lanes` client calls plus `lanes` leaf calls).
   std::uint32_t lanes = 32;
 
   MeshConfig() {
@@ -149,7 +167,8 @@ struct SyncEntry {
 // the transit delay and the store resources at both ends).
 struct MeshPacket {
   bool is_reply = false;
-  std::uint32_t channel = 0;  // src * lanes + lane
+  std::uint32_t channel = 0;  // src * 2 * lanes + lane; lanes [0, lanes) are
+                              // client class, [lanes, 2 * lanes) leaf class
   std::uint64_t seq = 0;      // per-channel, monotonic for the mesh's lifetime
   MeshOp op = MeshOp::kGet;
   std::uint32_t src = 0;
@@ -335,6 +354,8 @@ class Mesh {
     std::uint64_t version = 0;
   };
 
+  static constexpr std::uint32_t kLaneClasses = 2;  // client, leaf
+
   struct Node {
     std::unique_ptr<hsim::Machine> machine;
     std::unique_ptr<hsim::Resource> store_service;
@@ -347,7 +368,7 @@ class Mesh {
     std::deque<MeshPacket> inbox;
     std::vector<SrcWindow> windows;        // by sender channel id
     std::set<std::uint64_t> write_busy;    // keys with a put in flight
-    std::vector<std::uint32_t> free_lanes;
+    std::vector<std::uint32_t> free_lanes[kLaneClasses];  // by lane class
     NodeCounters counters;
     Timeline timeline;
     hprof::LockSiteStats* site = nullptr;
@@ -362,9 +383,13 @@ class Mesh {
                                hflight::FlightRecord* rec);
 
   // --- lanes ------------------------------------------------------------------
+  std::uint32_t ChannelId(std::uint32_t m, std::uint32_t lane) const;
+  // Waits for a free lane of op's class on machine m; ~0u if m died meanwhile.
   hsim::Task<std::uint32_t> AcquireLane(hsim::Processor& p, std::uint32_t m,
-                                        std::uint64_t inc);
+                                        std::uint64_t inc, MeshOp op);
   void ReleaseLane(std::uint32_t m, std::uint32_t lane);
+  // Frees every lane of both classes and resets their channels.
+  void ResetLanes(std::uint32_t m);
 
   // --- server -----------------------------------------------------------------
   hsim::Task<void> ServerLoop(std::uint32_t m, std::uint64_t inc);
@@ -406,7 +431,7 @@ class Mesh {
   std::uint64_t discarded_to_down_ = 0;
   bool stopped_ = false;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<Channel> channels_;          // machines x lanes
+  std::vector<Channel> channels_;          // machines x 2 x lanes
   std::vector<std::uint64_t> traffic_;     // machines x machines send counts
   std::map<std::uint64_t, std::vector<std::uint64_t>> op_versions_;
   std::unique_ptr<hsim::FaultPlan> fault_plan_;

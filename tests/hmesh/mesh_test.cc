@@ -1,7 +1,8 @@
 // hmesh core behaviour: routing + replication placement, local vs forwarded
 // reads, broadcast-update write replication, exact-once under a lossy
-// transport, whole-run determinism, and the partitioned-machine no-eviction
-// guarantee (ISSUE 10 satellite 1 tied into the tentpole).
+// transport (also with more ops in flight than lanes, and across a
+// kill/recover), freedom from the lane deadlock, whole-run determinism, and
+// the partitioned-machine no-eviction guarantee.
 
 #include <algorithm>
 #include <cstdint>
@@ -28,6 +29,17 @@ bool DriveUntil(hsim::Engine& eng, Tick deadline, Pred pred) {
     }
   }
   return pred();
+}
+
+// Tears a mesh down without trusting it to drain: Shutdown + RunUntilIdle
+// never returns on a stalled mesh, so every machine is killed first (fencing
+// all of its tasks) and the drain is bounded.  True when the engine drained.
+bool KillAndDrain(hsim::Engine& eng, Mesh& mesh) {
+  for (std::uint32_t m = 0; m < mesh.config().machines; ++m) {
+    mesh.Kill(m);
+  }
+  mesh.Shutdown();
+  return eng.RunUntil(eng.now() + UsToTicks(100'000));
 }
 
 hsim::Task<void> OneRead(Mesh* mesh, std::uint32_t m, std::uint64_t key,
@@ -313,6 +325,7 @@ struct LoadResult {
   std::uint64_t forwarded_reads = 0;
   std::uint64_t retransmits = 0;
   std::uint64_t failovers = 0;
+  std::uint64_t resyncs = 0;
   std::uint64_t partitioned = 0;
   std::vector<AckedWrite> acked;
   bool all_done = false;
@@ -352,17 +365,29 @@ void AuditMesh(const Mesh& mesh, const std::vector<AckedWrite>& acked) {
   }
 }
 
-// One complete load scenario: 4 machines, a client per machine, optional
-// transport faults and an optional partition window on machine 1.
-LoadResult RunLoadScenario(const hsim::FaultConfig* faults, bool partition_window,
-                           bool audit = true) {
+// One complete load scenario: 4 machines, a client per machine (none on a
+// killed machine), optional transport faults, and optional machine faults.
+struct LoadScenario {
+  const hsim::FaultConfig* faults = nullptr;
+  bool partition_window = false;  // unplug machine 1 from 1 ms to 2.5 ms
+  bool kill_recover = false;      // crash machine 3 at 1 ms, recover it at 3 ms
+  double read_fraction = 0.9;
+  std::uint64_t ops = 200;        // per client
+  double rate_per_s = 150'000;    // per client
+  std::uint32_t window = 8;       // ClientConfig::window
+  bool audit = true;
+};
+
+constexpr std::uint32_t kLoadVictim = 3;
+
+LoadResult RunLoadScenario(const LoadScenario& sc) {
   hsim::Engine eng;
   MeshConfig mc = SmallMesh();
   Mesh mesh(&eng, mc);
-  if (faults != nullptr) {
-    mesh.set_fault_plan(*faults);
+  if (sc.faults != nullptr) {
+    mesh.set_fault_plan(*sc.faults);
   }
-  if (partition_window) {
+  if (sc.partition_window) {
     // Unplug machine 1 for 1.5 ms mid-run; it stays a ring member throughout.
     mesh.fault_plan()->PartitionNode(1, UsToTicks(1000), UsToTicks(2500));
   }
@@ -371,23 +396,30 @@ LoadResult RunLoadScenario(const hsim::FaultConfig* faults, bool partition_windo
   ClientConfig cc;
   cc.workload.num_clusters = mc.machines;
   cc.workload.keys_per_cluster = mc.keys_per_machine;
-  cc.workload.read_fraction = 0.9;
+  cc.workload.read_fraction = sc.read_fraction;
   cc.workload.seed = 42;
-  cc.ops = 200;
-  cc.rate_per_s = 150'000;
-  std::vector<ClientStats> stats(mc.machines);
-  for (std::uint32_t m = 0; m < mc.machines; ++m) {
+  cc.ops = sc.ops;
+  cc.rate_per_s = sc.rate_per_s;
+  cc.window = sc.window;
+  const std::uint32_t clients = sc.kill_recover ? mc.machines - 1 : mc.machines;
+  std::vector<ClientStats> stats(clients);
+  for (std::uint32_t m = 0; m < clients; ++m) {
     eng.Spawn(RunClient(&mesh, m, cc, &stats[m]));
+  }
+  if (sc.kill_recover) {
+    eng.Spawn(mesh.KillAt(UsToTicks(1000), kLoadVictim));
+    eng.Spawn(mesh.RecoverAt(UsToTicks(3000), kLoadVictim));
   }
 
   LoadResult r;
   r.all_done = DriveUntil(eng, UsToTicks(1'000'000), [&] {
     return std::all_of(stats.begin(), stats.end(),
-                       [](const ClientStats& s) { return s.done; });
+                       [](const ClientStats& s) { return s.done; }) &&
+           (!sc.kill_recover || mesh.timeline(kLoadVictim).synced_at != 0);
   });
   DriveUntil(eng, UsToTicks(1'100'000), [&] { return mesh.Quiescent(); });
 
-  for (std::uint32_t m = 0; m < mc.machines; ++m) {
+  for (std::uint32_t m = 0; m < clients; ++m) {
     r.issued += stats[m].issued;
     r.completed += stats[m].completed;
     r.failed += stats[m].failed;
@@ -398,20 +430,20 @@ LoadResult RunLoadScenario(const hsim::FaultConfig* faults, bool partition_windo
                    stats[m].acked_writes.end());
   }
   r.failovers = mesh.failovers();
+  r.resyncs = mesh.resyncs();
   if (mesh.fault_plan() != nullptr) {
     r.partitioned = mesh.fault_plan()->counters().partitioned();
   }
   r.digest = mesh.Digest();
-  if (audit) {
+  if (sc.audit) {
     AuditMesh(mesh, r.acked);
   }
-  mesh.Shutdown();
-  eng.RunUntilIdle();
+  EXPECT_TRUE(KillAndDrain(eng, mesh));
   return r;
 }
 
 TEST(MeshLoadTest, CleanTransportExactOnce) {
-  const LoadResult r = RunLoadScenario(nullptr, false);
+  const LoadResult r = RunLoadScenario(LoadScenario{});
   ASSERT_TRUE(r.all_done);
   EXPECT_EQ(r.completed, r.issued);
   EXPECT_EQ(r.failed, 0u);
@@ -429,7 +461,7 @@ TEST(MeshLoadTest, LossyTransportExactOnce) {
   faults.dup_request = 0.02;
   faults.delay_request = 0.05;
   faults.seed = 99;
-  const LoadResult r = RunLoadScenario(&faults, false);
+  const LoadResult r = RunLoadScenario(LoadScenario{.faults = &faults});
   ASSERT_TRUE(r.all_done);
   EXPECT_EQ(r.completed, r.issued);
   EXPECT_EQ(r.failed, 0u);
@@ -439,14 +471,59 @@ TEST(MeshLoadTest, LossyTransportExactOnce) {
   EXPECT_EQ(r.failovers, 0u);
 }
 
+// The lossy run again with more ops in flight per machine than lanes: an
+// offered rate far past capacity keeps the 64-op window full, so client puts
+// and forwarded gets queue for lanes while retransmits and dedup run.
+LoadScenario OverloadedLossy(const hsim::FaultConfig* faults) {
+  return LoadScenario{.faults = faults,
+                      .read_fraction = 0.5,
+                      .ops = 400,
+                      .rate_per_s = 2'000'000,
+                      .window = 64};
+}
+
+TEST(MeshLoadTest, LossyTransportExactOnceWindowAboveLanes) {
+  hsim::FaultConfig faults;
+  faults.drop_request = 0.03;
+  faults.drop_reply = 0.03;
+  faults.dup_request = 0.02;
+  faults.delay_request = 0.05;
+  faults.seed = 99;
+  const LoadResult r = RunLoadScenario(OverloadedLossy(&faults));
+  ASSERT_TRUE(r.all_done) << "completed " << r.completed << "/" << r.issued;
+  EXPECT_EQ(r.completed, r.issued);
+  EXPECT_EQ(r.failed, 0u);
+  EXPECT_GT(r.retransmits, 0u);
+  EXPECT_EQ(r.failovers, 0u);
+}
+
+// The same overload with a crash and recovery of machine 3: its resync pulls
+// run on leaf lanes while the survivors' client lanes are saturated.
+TEST(MeshLoadTest, KillRecoverExactOnceWindowAboveLanes) {
+  hsim::FaultConfig faults;
+  faults.drop_request = 0.01;
+  faults.drop_reply = 0.01;
+  faults.dup_request = 0.005;
+  faults.seed = 1234;
+  LoadScenario sc = OverloadedLossy(&faults);
+  sc.kill_recover = true;
+  const LoadResult r = RunLoadScenario(sc);
+  ASSERT_TRUE(r.all_done) << "completed " << r.completed << "/" << r.issued;
+  EXPECT_EQ(r.completed, r.issued);
+  EXPECT_EQ(r.failed, 0u);
+  EXPECT_EQ(r.failovers, 1u);
+  EXPECT_EQ(r.resyncs, 1u);
+}
+
 TEST(MeshLoadTest, DeterministicReplay) {
   hsim::FaultConfig faults;
   faults.drop_request = 0.02;
   faults.drop_reply = 0.02;
   faults.dup_reply = 0.02;
   faults.seed = 7;
-  const LoadResult a = RunLoadScenario(&faults, false, /*audit=*/false);
-  const LoadResult b = RunLoadScenario(&faults, false, /*audit=*/false);
+  const LoadScenario sc{.faults = &faults, .audit = false};
+  const LoadResult a = RunLoadScenario(sc);
+  const LoadResult b = RunLoadScenario(sc);
   ASSERT_TRUE(a.all_done);
   ASSERT_TRUE(b.all_done);
   EXPECT_EQ(a.digest, b.digest);  // bit-identical replay
@@ -456,7 +533,8 @@ TEST(MeshLoadTest, DeterministicReplay) {
 
 TEST(MeshLoadTest, PartitionedMachineIsNotEvicted) {
   hsim::FaultConfig faults;  // no probabilistic faults; only the window
-  const LoadResult r = RunLoadScenario(&faults, /*partition_window=*/true);
+  const LoadResult r =
+      RunLoadScenario(LoadScenario{.faults = &faults, .partition_window = true});
   ASSERT_TRUE(r.all_done);
   // Ops stall against the partitioned machine but complete after the heal;
   // nothing is lost and -- critically -- the live machine was never evicted.
@@ -465,6 +543,60 @@ TEST(MeshLoadTest, PartitionedMachineIsNotEvicted) {
   EXPECT_GT(r.partitioned, 0u);   // the window actually dropped traffic
   EXPECT_GT(r.retransmits, 0u);
   EXPECT_EQ(r.failovers, 0u);
+}
+
+// The lane deadlock: two machines, each firing 4 x lanes puts at once at keys
+// the *other* owns.  With one lane pool per machine, client puts hold every
+// lane while the peer's put handlers wait for a lane to send their kUpdate
+// back, and nothing ever completes.  Leaf-class lanes for the fan-out break
+// the cycle, so every put is acked well inside the deadline.
+TEST(MeshTest, CrossOwnerPutsBeyondLanesDoNotDeadlock) {
+  hsim::Engine eng;
+  MeshConfig mc = SmallMesh(2);
+  mc.lanes = 2;
+  Mesh mesh(&eng, mc);
+  mesh.Start();
+
+  const std::uint32_t per_machine = 4 * mc.lanes;
+  struct Put {
+    std::uint32_t writer = 0;
+    std::uint64_t key = 0;
+    std::uint64_t op_id = 0;
+    std::uint64_t version = 0;
+    MeshStatus status = MeshStatus::kPending;
+  };
+  std::vector<Put> puts;
+  for (std::uint32_t m = 0; m < mc.machines; ++m) {
+    std::uint64_t key = 0;
+    for (std::uint32_t i = 0; i < per_machine; ++i, ++key) {
+      while (mesh.ring().OwnerOf(key) == m) {
+        ++key;
+      }
+      ASSERT_LT(key, mc.keys());
+      puts.push_back(Put{m, key, ClientOpId(m, i)});
+    }
+  }
+  for (Put& put : puts) {  // no reallocation from here on: tasks hold pointers
+    eng.Spawn(OneWrite(&mesh, put.writer, put.key, put.op_id, put.op_id, &put.version,
+                       &put.status));
+  }
+
+  const auto acked = [&] {
+    return static_cast<std::uint64_t>(std::count_if(
+        puts.begin(), puts.end(), [](const Put& put) { return put.status == MeshStatus::kOk; }));
+  };
+  const bool all_acked =
+      DriveUntil(eng, UsToTicks(20'000), [&] { return acked() == puts.size(); });
+  EXPECT_TRUE(all_acked) << "only " << acked() << "/" << puts.size()
+                         << " puts acked by the deadline";
+  if (all_acked) {
+    std::vector<AckedWrite> writes;
+    for (const Put& put : puts) {
+      writes.push_back(AckedWrite{put.key, put.op_id, put.version, put.op_id});
+    }
+    AuditMesh(mesh, writes);
+  }
+  EXPECT_TRUE(KillAndDrain(eng, mesh));
 }
 
 }  // namespace
