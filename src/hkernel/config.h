@@ -81,12 +81,11 @@ struct KernelConfig {
   // Deliberately long: remote requesters have "a greater potential of being
   // starved" (Section 2.3) and hammering the target livelocks it.
   Tick rpc_retry_backoff = hsim::UsToTicks(320);
-  // Retransmit timeout for a lost request or reply.  Deliberately far above
-  // the ~27 us null-RPC round trip so that a fault-free run never retransmits
-  // spuriously even when the target is busy; doubles (with jitter) up to the
-  // cap on successive timeouts of the same call.
+  // Retransmit timeout for a lost request or reply: far above the ~27 us
+  // null-RPC round trip, so only calls stuck behind a busy target retransmit
+  // spuriously (about 1% on the mixed fault test).  Successive timeouts of
+  // one call follow hsim::RetransmitTimer (jittered doubling, capped at 16x).
   Tick rpc_timeout = hsim::UsToTicks(240);
-  Tick rpc_timeout_cap = hsim::UsToTicks(3840);
   // CallWithRetry escalates to the rpc_retry_storms counter once a single
   // logical operation has been refused this many consecutive times.
   int rpc_storm_threshold = 16;

@@ -89,7 +89,7 @@ KernelSystem::KernelSystem(hsim::Machine* machine, const KernelConfig& config)
   cpus_.reserve(nprocs);
   pte_words_.resize(nprocs);
   for (hsim::ProcId p = 0; p < nprocs; ++p) {
-    cpus_.push_back(std::make_unique<CpuKernel>(this, p));
+    cpus_.push_back(std::make_unique<CpuKernel>(this, p, nprocs));
     pte_words_[p].push_back(&machine->AllocWord(p, 0));
     pte_words_[p].push_back(&machine->AllocWord(p, 0));
   }

@@ -8,7 +8,6 @@
 #include "src/hkernel/kernel.h"
 #include "src/hmetrics/trace.h"
 #include "src/hsim/engine.h"
-#include "src/hsim/fault.h"
 
 namespace hkernel {
 
@@ -38,11 +37,7 @@ hflight::Fate FateOf(RpcStatus status) {
 hsim::Task<void> DeliverAfter(hsim::Engine* engine, hsim::Tick transit, CpuKernel* target,
                               RpcPacket packet) {
   co_await engine->Delay(transit);
-  if (packet.is_reply) {
-    target->DeliverReply(packet);
-  } else {
-    target->Deliver(packet);
-  }
+  target->Deliver(packet);
 }
 
 // Pooled wire buffer: the envelope was allocated from the packet pool at the
@@ -53,11 +48,7 @@ hsim::Task<void> DeliverAfterPooled(hsim::Engine* engine, hsim::Tick transit, Cp
                                     halloc::SlabAllocator<RpcPacket>* pool,
                                     hsim::ProcId target_proc, RpcPacket* env) {
   co_await engine->Delay(transit);
-  if (env->is_reply) {
-    target->DeliverReply(*env);
-  } else {
-    target->Deliver(*env);
-  }
+  target->Deliver(*env);
   pool->FreeFor(target_proc, env);
 }
 
@@ -75,15 +66,14 @@ void CpuKernel::Unmask() {
 }
 
 void CpuKernel::SendPacket(hsim::Processor& p, hsim::ProcId target, const RpcPacket& packet) {
-  const KernelConfig& cfg = system_->config();
   hsim::Machine& machine = system_->machine();
   hsim::Engine& engine = machine.engine();
   CpuKernel& dest = system_->cpu(target);
   halloc::SlabAllocator<RpcPacket>& pool = system_->packet_pool();
 
-  // Launches one delivery: envelope from the pool (allocated at this
-  // processor's cluster, freed at the target's) or, if the pool is dry under
-  // a fault storm, the by-value fallback.
+  // Launches one delivery (a duplicate is its own wire buffer): envelope from
+  // the pool (allocated at this processor's cluster, freed at the target's)
+  // or, if the pool is dry under a fault storm, the by-value fallback.
   const auto launch = [&](hsim::Tick transit) {
     RpcPacket* env = pool.AllocFor(p.id());
     if (env != nullptr) {
@@ -94,40 +84,22 @@ void CpuKernel::SendPacket(hsim::Processor& p, hsim::ProcId target, const RpcPac
       engine.Spawn(DeliverAfter(&engine, transit, &dest, packet));
     }
   };
-
-  hsim::FaultPlan* plan = machine.fault_plan();
-  if (plan == nullptr) {
-    launch(cfg.rpc_transit);
-    return;
-  }
-  const hsim::FaultLeg leg = packet.is_reply ? hsim::FaultLeg::kReply : hsim::FaultLeg::kRequest;
   const hsim::FaultPlan::Decision decision =
-      plan->Decide(leg, p.id(), target, static_cast<std::uint8_t>(packet.op), p.now());
+      hsim::RouteSend(machine.fault_plan(), packet, p.id(), target, p.now(),
+                      system_->config().rpc_transit, launch);
   if (machine.trace_enabled(hmetrics::kTraceRpc) && (decision.drop || decision.duplicate)) {
     machine.trace()->Instant(hmetrics::kTraceRpc,
                              decision.drop ? "rpc/fault_drop" : "rpc/fault_dup", p.id(),
                              p.now());
   }
-  if (decision.drop) {
-    return;
-  }
-  launch(cfg.rpc_transit + decision.extra_delay);
-  if (decision.duplicate) {
-    // A duplicate is its own wire buffer: two envelopes in flight.
-    launch(cfg.rpc_transit + decision.dup_extra_delay);
-  }
 }
 
-void CpuKernel::DeliverReply(const RpcPacket& packet) {
-  if (!call_active_ || pending_.done || packet.seq != pending_.seq) {
-    // A duplicate of a reply we already consumed, or a reply delayed past its
-    // retransmit-satisfied call.  Exact-once: discard, count.
+void CpuKernel::Deliver(const RpcPacket& packet) {
+  if (!packet.is_reply) {
+    inbox_.push_back(packet);
+  } else if (!call_.Offer(packet)) {
     ++system_->counters().rpc_dup_replies;
-    return;
   }
-  pending_.request->status = packet.status;
-  pending_.request->payload = packet.payload;
-  pending_.done = true;
 }
 
 hsim::Task<void> CpuKernel::RunHandlers(hsim::Processor& p, std::deque<RpcPacket>* queue,
@@ -140,23 +112,21 @@ hsim::Task<void> CpuKernel::RunHandlers(hsim::Processor& p, std::deque<RpcPacket
     queue->pop_front();
     ++batch;
 
-    // Dedup: a retransmit of the in-flight request, or of anything already
-    // completed, must not re-run the handler (exact-once).  For the last
-    // completed request the cached reply is retransmitted -- the initiator is
-    // still waiting iff the original reply was lost.
-    PeerState& src = peer(packet.src_proc);
-    if (packet.seq == src.in_progress || packet.seq <= src.last_completed) {
+    hsim::DedupWindow<RpcPacket>& window = peers_[packet.src_proc];
+    const hsim::Admission admission = window.Admit(packet.seq);
+    if (admission != hsim::Admission::kFresh) {
       ++system_->counters().rpc_dup_requests;
+      // Copied now: the window may complete a newer request during the awaits.
+      const RpcPacket cached = window.cached_reply();
       co_await p.Compute(cfg.rpc_dispatch / 2);
-      if (packet.seq == src.last_completed && src.has_reply) {
+      if (admission == hsim::Admission::kResendCached) {
         co_await p.Compute(cfg.rpc_reply);
-        SendPacket(p, packet.src_proc, src.cached_reply);
+        SendPacket(p, packet.src_proc, cached);
       }
       continue;
     }
 
     ++handled_;
-    src.in_progress = packet.seq;
     in_handler_ = true;
     hmetrics::TraceSession* tr =
         machine.trace_enabled(hmetrics::kTraceRpc) ? machine.trace() : nullptr;
@@ -190,15 +160,9 @@ hsim::Task<void> CpuKernel::RunHandlers(hsim::Processor& p, std::deque<RpcPacket
     in_handler_ = false;
     assert(request.status != RpcStatus::kPending);
     ++system_->counters().rpc_ops_applied;
-    src.in_progress = 0;
-    src.last_completed = packet.seq;
-    src.cached_reply = RpcPacket{};
-    src.cached_reply.is_reply = true;
-    src.cached_reply.seq = packet.seq;
-    src.cached_reply.op = packet.op;
-    src.cached_reply.status = request.status;
-    src.cached_reply.payload = request.payload;
-    src.has_reply = true;
+    const RpcPacket reply{.is_reply = true, .seq = packet.seq, .op = packet.op,
+                          .status = request.status, .payload = request.payload};
+    window.Complete(packet.seq, reply);
     if (frec != nullptr) {
       frec->done = p.now();
       flight->Close(frec, FateOf(request.status), p.now());
@@ -206,10 +170,7 @@ hsim::Task<void> CpuKernel::RunHandlers(hsim::Processor& p, std::deque<RpcPacket
     if (tr != nullptr) {
       tr->EndSpan(span, p.now());
     }
-    // The reply travels back to the initiator through the (possibly faulty)
-    // transport; if it is lost, the initiator's retransmit will hit the dedup
-    // path above and resend the cached copy.
-    SendPacket(p, packet.src_proc, src.cached_reply);
+    SendPacket(p, packet.src_proc, reply);
   }
   if (batch > 0 && system_->rpc_batch_depth_hist() != nullptr) {
     system_->rpc_batch_depth_hist()->Record(batch);
@@ -253,13 +214,12 @@ hsim::Task<void> CpuKernel::IrqPoint(hsim::Processor& p) {
 hsim::Task<void> CpuKernel::Call(hsim::Processor& p, hsim::ProcId target, RpcRequest* request) {
   assert(!masked() && "RPCs must not be issued while holding coarse locks");
   assert(target != id_ && "RPC to self would deadlock");
-  if (call_active_) {
-    // The one-deep dedup window at the target depends on stop-and-wait; a
-    // second in-flight call from this processor would break exact-once.
+  if (call_.busy()) {
+    // The one-deep dedup window at the target depends on stop-and-wait.
     std::fprintf(stderr,
                  "hkernel: overlapping CpuKernel::Call on processor %u (seq %llu still "
                  "pending); the RPC protocol is stop-and-wait per processor\n",
-                 id_, static_cast<unsigned long long>(pending_.seq));
+                 id_, static_cast<unsigned long long>(call_.pending_seq()));
     std::abort();
   }
   const KernelConfig& cfg = system_->config();
@@ -268,13 +228,8 @@ hsim::Task<void> CpuKernel::Call(hsim::Processor& p, hsim::ProcId target, RpcReq
   request->src_cluster = system_->cluster_of_proc(id_);
   ++system_->counters().rpcs;
 
-  RpcPacket packet;
-  packet.seq = ++next_seq_;
-  packet.op = request->op;
-  packet.page = request->page;
-  packet.arg = request->arg;
-  packet.src_proc = id_;
-  packet.src_cluster = request->src_cluster;
+  RpcPacket packet{.seq = call_.Begin(), .op = request->op, .page = request->page,
+                   .arg = request->arg, .src_proc = id_, .src_cluster = request->src_cluster};
   // Caller-side flight record: the whole Call is one rpc-phase leg (the
   // pre-send stamps collapse to begin, so Finalize attributes the full span
   // to rpc).  The id and send instant travel on the wire for the child link.
@@ -289,10 +244,6 @@ hsim::Task<void> CpuKernel::Call(hsim::Processor& p, hsim::ProcId target, RpcReq
     packet.flight_id = frec->id;
     packet.flight_send = p.now();
   }
-  call_active_ = true;
-  pending_.seq = packet.seq;
-  pending_.request = request;
-  pending_.done = false;
 
   hsim::Machine& machine = system_->machine();
   hmetrics::TraceSession* tr =
@@ -309,15 +260,13 @@ hsim::Task<void> CpuKernel::Call(hsim::Processor& p, hsim::ProcId target, RpcReq
 
   // Wait for the reply.  The processor itself is a schedulable resource: keep
   // servicing our own incoming requests, otherwise two processors calling
-  // each other deadlock (Section 2.3).  A lost request or reply surfaces as a
-  // timeout; the retransmit reuses the sequence number, so the target either
-  // re-delivers its cached reply or is still working on the original.
-  hsim::Tick timeout = cfg.rpc_timeout;
-  hsim::Tick deadline = p.now() + timeout;
-  while (!pending_.done) {
+  // each other deadlock (Section 2.3).
+  hsim::RetransmitTimer timer(cfg.rpc_timeout);
+  timer.Arm(p.now());
+  while (!call_.ready()) {
     co_await IrqPoint(p);
     co_await p.Compute(cfg.rpc_poll);
-    if (!pending_.done && p.now() >= deadline) {
+    if (!call_.ready() && timer.Expired(p.now())) {
       ++system_->counters().rpc_retransmits;
       ++call_retransmits;
       if (tr != nullptr) {
@@ -327,15 +276,15 @@ hsim::Task<void> CpuKernel::Call(hsim::Processor& p, hsim::ProcId target, RpcReq
         tr->AddArg(rspan, "seq", std::to_string(packet.seq));
         tr->EndSpan(rspan, p.now() + cfg.rpc_send);
       }
+      timer.Backoff(p.rng());
       co_await p.Compute(cfg.rpc_send);
       SendPacket(p, target, packet);
-      // Exponential backoff with jitter: synchronized losers must not
-      // retransmit in lockstep into the same congested target.
-      timeout = std::min<hsim::Tick>(timeout * 2, cfg.rpc_timeout_cap);
-      deadline = p.now() + timeout / 2 + p.rng().NextBelow(timeout / 2 + 1);
+      timer.Arm(p.now());
     }
   }
-  call_active_ = false;
+  request->status = call_.reply().status;
+  request->payload = call_.reply().payload;
+  call_.Reset();
   co_await p.Compute(cfg.rpc_recv);
   assert(request->status != RpcStatus::kPending);
   if (frec != nullptr) {

@@ -20,25 +20,12 @@
 // refusing to service requests while blocked is exactly the deadlock the
 // paper describes between processors P1 and P2.
 //
-// --- transport fault tolerance ---
-//
-// The transport may be adversarial (hsim::FaultPlan): requests and replies
-// can be dropped, duplicated, or delayed.  The protocol provides exact-once
-// application semantics on top of it:
-//
-//   - every Call carries a per-initiator sequence number; the wire carries
-//     self-contained RpcPacket copies, never pointers into the caller's frame;
-//   - the initiator runs a stop-and-wait timeout-and-retransmit loop (one
-//     outstanding RPC per processor -- enforced with a loud abort);
-//   - the target remembers, per source processor, the last completed sequence
-//     number and its cached reply: a retransmit or duplicate of a completed
-//     request is not re-applied, the cached reply is retransmitted instead;
-//   - stale replies (for an already-completed or superseded sequence number)
-//     are counted and discarded at the initiator.
-//
-// Stop-and-wait per initiator is what makes the one-deep dedup window sound:
-// the target can never receive sequence number n+1 from a source before that
-// source has observed the reply to n.
+// Transport fault tolerance: the transport may drop, duplicate or delay any
+// leg (hsim::FaultPlan), and src/hsim/exact_once.h gives each call exact-once
+// application on top of it.  Here the initiator endpoint is the processor --
+// one outstanding Call per processor, enforced with a loud abort -- and the
+// target keeps one dedup window per source processor.  The wire carries
+// self-contained RpcPacket copies, never pointers into the caller's frame.
 
 #ifndef HKERNEL_RPC_H_
 #define HKERNEL_RPC_H_
@@ -49,6 +36,7 @@
 #include <vector>
 
 #include "src/hkernel/config.h"
+#include "src/hsim/exact_once.h"
 #include "src/hsim/machine.h"
 #include "src/hsim/task.h"
 
@@ -130,11 +118,12 @@ struct RpcPacket {
 class KernelSystem;
 
 // Per-processor kernel state: the RPC inbox, the soft interrupt gate, the
-// deferred-work queue, and the transport-recovery state (sequence numbers,
-// per-source dedup, the pending-call slot).
+// deferred-work queue, and the transport-recovery state (the call slot and
+// one dedup window per source processor, sized once for `nprocs`).
 class CpuKernel {
  public:
-  CpuKernel(KernelSystem* system, hsim::ProcId id) : system_(system), id_(id) {}
+  CpuKernel(KernelSystem* system, hsim::ProcId id, std::uint32_t nprocs)
+      : system_(system), id_(id), peers_(nprocs) {}
   CpuKernel(const CpuKernel&) = delete;
   CpuKernel& operator=(const CpuKernel&) = delete;
 
@@ -161,12 +150,10 @@ class CpuKernel {
   bool lock_path_busy() const { return lock_path_busy_; }
   void set_lock_path_busy(bool busy) { lock_path_busy_ = busy; }
 
-  // Delivery (called by the RPC transport at the interrupt instant).
-  void Deliver(const RpcPacket& packet) { inbox_.push_back(packet); }
-
-  // Reply delivery at the initiator: matches the pending call's sequence
-  // number; stale or duplicate replies are counted and discarded.
-  void DeliverReply(const RpcPacket& packet);
+  // Delivery (called by the RPC transport at the interrupt instant): requests
+  // queue in the inbox; replies go to the call slot, which counts and drops
+  // stale or duplicate ones.
+  void Deliver(const RpcPacket& packet);
 
   // Services pending requests if the gate is open.  If the gate is closed,
   // requests are shunted (with the handler-entry cost) onto the deferred
@@ -189,32 +176,11 @@ class CpuKernel {
   std::size_t backlog() const { return inbox_.size() + deferred_.size(); }
 
  private:
-  // Per-source dedup window.  Sound because initiators are stop-and-wait.
-  struct PeerState {
-    std::uint64_t last_completed = 0;  // highest seq applied for this source
-    std::uint64_t in_progress = 0;     // seq currently inside a handler (0 = none)
-    bool has_reply = false;
-    RpcPacket cached_reply;            // reply to last_completed, for retransmits
-  };
-
-  struct PendingCall {
-    std::uint64_t seq = 0;
-    RpcRequest* request = nullptr;
-    bool done = false;
-  };
-
   hsim::Task<void> RunHandlers(hsim::Processor& p, std::deque<RpcPacket>* queue, int budget);
 
   // Hands a packet to the transport: consults the machine's fault plan and
   // spawns the (possibly dropped/duplicated/delayed) delivery task(s).
   void SendPacket(hsim::Processor& p, hsim::ProcId target, const RpcPacket& packet);
-
-  PeerState& peer(hsim::ProcId src) {
-    if (peers_.size() <= src) {
-      peers_.resize(src + 1);
-    }
-    return peers_[src];
-  }
 
   KernelSystem* system_;
   hsim::ProcId id_;
@@ -225,10 +191,8 @@ class CpuKernel {
   std::deque<RpcPacket> deferred_;
   std::uint64_t handled_ = 0;
   std::uint64_t deferred_total_ = 0;
-  std::uint64_t next_seq_ = 0;
-  PendingCall pending_;
-  bool call_active_ = false;
-  std::vector<PeerState> peers_;
+  hsim::CallSlot<RpcPacket> call_;
+  std::vector<hsim::DedupWindow<RpcPacket>> peers_;  // by source processor
 };
 
 }  // namespace hkernel

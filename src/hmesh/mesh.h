@@ -11,13 +11,13 @@
 // that keeps retried writes exactly-once across an owner crash (see below).
 //
 // Transport.  Machines exchange host-side MeshPackets over a latency-only
-// interconnect (net_transit ticks each way) with the PR-3 exact-once
-// discipline rebuilt at mesh scope: per-lane stop-and-wait channels with
-// monotonic sequence numbers, jittered-doubling timeout retransmit, per-source
-// dedup windows with cached-reply resend, and stale-reply discard.  Every leg
-// consults the mesh's own hsim::FaultPlan with *machine ids* as the node ids,
-// so FaultPlan::PartitionNode partitions a whole machine and chaos scenarios
-// need no per-link plumbing.
+// interconnect (net_transit ticks each way), exact-once by
+// src/hsim/exact_once.h.  Here the initiator endpoint is a lane: a
+// stop-and-wait channel whose sequence counter outlives kills, and the
+// receiver keeps one dedup window per sender channel.  Every leg consults the
+// mesh's own hsim::FaultPlan with *machine ids* as the node ids, so
+// FaultPlan::PartitionNode partitions a whole machine and chaos scenarios need
+// no per-link plumbing.
 //
 // Lanes and the wait-for order.  An initiator holds a lane for the whole of a
 // call, and an owner's put handler makes calls of its own (the kUpdate
@@ -76,6 +76,7 @@
 
 #include "src/hmesh/ring.h"
 #include "src/hsim/engine.h"
+#include "src/hsim/exact_once.h"
 #include "src/hsim/fault.h"
 #include "src/hsim/machine.h"
 #include "src/hsim/resource.h"
@@ -125,8 +126,7 @@ struct MeshConfig {
   Tick net_transit = 320;           // one-way wire latency (20 us)
   Tick net_recv = 48;
   Tick net_poll = 48;               // reply/inbox poll granularity
-  Tick net_timeout = hsim::UsToTicks(120);
-  Tick net_timeout_cap = hsim::UsToTicks(1920);
+  Tick net_timeout = hsim::UsToTicks(120);  // hsim::RetransmitTimer base
   int suspect_after = 4;            // consecutive timeouts before reporting
 
   // Store service costs (ticks at the node's store resource).
@@ -329,21 +329,6 @@ class Mesh {
  private:
   friend struct MeshTestPeer;
 
-  struct Channel {
-    bool busy = false;
-    std::uint64_t next_seq = 0;
-    std::uint64_t pending_seq = 0;
-    bool reply_ready = false;
-    MeshPacket reply;
-  };
-
-  struct SrcWindow {
-    std::uint64_t last_completed = 0;
-    std::uint64_t active = 0;  // seq currently executing (retransmits discard)
-    bool has_cached = false;
-    MeshPacket cached_reply;
-  };
-
   // One applied client op, remembered for put dedup.  Keyed by op id in a
   // per-node table so a later write to the same key cannot erase the record
   // (the single writer_op slot in Entry is a per-key convenience, not the
@@ -366,7 +351,7 @@ class Mesh {
     std::map<std::uint64_t, AppliedOp> applied_ops;  // op id -> dedup record
     std::deque<std::uint64_t> applied_fifo;          // insertion order: eviction
     std::deque<MeshPacket> inbox;
-    std::vector<SrcWindow> windows;        // by sender channel id
+    std::vector<hsim::DedupWindow<MeshPacket>> windows;  // by sender channel id
     std::set<std::uint64_t> write_busy;    // keys with a put in flight
     std::vector<std::uint32_t> free_lanes[kLaneClasses];  // by lane class
     NodeCounters counters;
@@ -377,7 +362,6 @@ class Mesh {
   // --- transport --------------------------------------------------------------
   void SendPacket(const MeshPacket& packet, Tick now);
   hsim::Task<void> DeliverAfter(MeshPacket packet, Tick delay);
-  void DeliverNow(const MeshPacket& packet);
   hsim::Task<CallOutcome> Call(hsim::Processor& p, std::uint32_t src, std::uint32_t lane,
                                std::uint32_t dst, MeshPacket packet,
                                hflight::FlightRecord* rec);
@@ -431,7 +415,7 @@ class Mesh {
   std::uint64_t discarded_to_down_ = 0;
   bool stopped_ = false;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<Channel> channels_;          // machines x 2 x lanes
+  std::vector<hsim::CallSlot<MeshPacket>> channels_;  // machines x 2 x lanes
   std::vector<std::uint64_t> traffic_;     // machines x machines send counts
   std::map<std::uint64_t, std::vector<std::uint64_t>> op_versions_;
   std::unique_ptr<hsim::FaultPlan> fault_plan_;
