@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "src/hcheck/atomic.h"
 #include "src/hcheck/checker.h"
+#include "src/hcheck/model.h"
 #include "src/hcheck/platform.h"
 #include "src/hcheck/sync.h"
 
@@ -262,6 +264,31 @@ TEST(HcheckModel, SmallSpaceIsExhausted) {
   EXPECT_FALSE(res.failed) << res.message << "\n" << res.trace;
   EXPECT_TRUE(res.exhausted);
   EXPECT_GT(res.schedules_run, 1u);
+}
+
+// --- runtime -------------------------------------------------------------------
+
+// Every spawn in quick succession: a new worker reads its own thread record
+// while the spawner is already appending the next one, so the thread table
+// must never move under it (a use-after-free, flaky on a loaded host).  Each
+// execution spawns the most threads the model admits.
+TEST(HcheckModel, MaxThreadSpawnsPerExecution) {
+  Options opts;
+  opts.random_schedules = 5000;
+  Result res = Check(opts, [] {
+    auto x = std::make_shared<hcheck::Atomic<int>>(0);
+    std::vector<hcheck::Thread> threads;
+    for (std::uint32_t i = 1; i < hcheck::kMaxModelThreads; ++i) {
+      threads.push_back(hcheck::Spawn([x] { x->fetch_add(1, std::memory_order_relaxed); }));
+    }
+    for (hcheck::Thread& t : threads) {
+      t.Join();
+    }
+    HCHECK_ASSERT(x->load(std::memory_order_relaxed) ==
+                  static_cast<int>(hcheck::kMaxModelThreads) - 1);
+  });
+  EXPECT_FALSE(res.failed) << res.message << "\n" << res.trace;
+  EXPECT_EQ(res.schedules_run, 5000u);
 }
 
 }  // namespace
