@@ -120,6 +120,58 @@ TEST(MeshTest, LocalAndForwardedReads) {
   eng.RunUntilIdle();
 }
 
+hsim::Task<void> TimedRead(Mesh* mesh, std::uint32_t m, std::uint64_t key, Tick* elapsed,
+                           MeshStatus* status) {
+  hsim::Processor& p = mesh->machine(m).processor(1);
+  const Tick begin = p.now();
+  std::uint64_t value = 0;
+  bool local = true;
+  *status = co_await mesh->ClientRead(p, m, key, &value, &local, nullptr);
+  *elapsed = p.now() - begin;
+}
+
+// A reply that lands during the poll in which the retransmit deadline passes
+// ends the call: no resend, and nothing counted toward suspect_after.  One
+// unloaded forwarded get on a lossless 2-machine mesh, with net_timeout set
+// to every value across the net_poll window in which its reply lands.
+TEST(MeshTest, ReplyLandingInLastPollIsNotRetransmitted) {
+  MeshConfig config = SmallMesh(2);
+  config.replicas = 1;
+  config.hot_ranks = 0;  // every key lives on its owner only, so gets forward
+  const std::uint64_t key = 5;
+  const auto forwarded_get = [&](Tick net_timeout, Tick* elapsed) {
+    MeshConfig c = config;
+    c.net_timeout = net_timeout;
+    hsim::Engine eng;
+    Mesh mesh(&eng, c);
+    mesh.Start();
+    const std::uint32_t client = 1 - mesh.ring().OwnerOf(key);
+    MeshStatus status = MeshStatus::kPending;
+    eng.Spawn(TimedRead(&mesh, client, key, elapsed, &status));
+    EXPECT_TRUE(
+        DriveUntil(eng, UsToTicks(10'000), [&] { return status != MeshStatus::kPending; }));
+    EXPECT_EQ(status, MeshStatus::kOk);
+    EXPECT_EQ(mesh.node_counters(client).forwarded_reads, 1u);
+    const std::uint64_t retransmits = mesh.node_counters(client).retransmits;
+    mesh.Shutdown();
+    eng.RunUntilIdle();
+    return retransmits;
+  };
+
+  Tick elapsed = 0;
+  ASSERT_EQ(forwarded_get(config.net_timeout, &elapsed), 0u);
+  // From the send to the poll that observes the reply; the reply itself
+  // landed within the net_poll before that poll.
+  const Tick observed = elapsed - config.net_send - config.net_recv;
+  ASSERT_GT(observed, config.net_poll);
+  ASSERT_LT(observed, config.net_timeout);
+  for (Tick t = observed - config.net_poll + 1; t <= observed; ++t) {
+    Tick e = 0;
+    EXPECT_EQ(forwarded_get(t, &e), 0u) << "net_timeout " << t;
+    EXPECT_EQ(e, elapsed) << "net_timeout " << t;
+  }
+}
+
 TEST(MeshTest, WriteReplicatesToEveryHolder) {
   hsim::Engine eng;
   Mesh mesh(&eng, SmallMesh());
