@@ -29,6 +29,7 @@
 #include "src/hsim/engine.h"
 #include "src/hsim/fault.h"
 #include "src/hsim/opstats.h"
+#include "src/hsim/park.h"
 #include "src/hsim/random.h"
 #include "src/hsim/resource.h"
 #include "src/hsim/task.h"
@@ -130,6 +131,11 @@ class Processor {
   Task<void> Compute(Tick cycles);
   // Pure time with no work: backoff delay (counted as idle).
   Task<void> BackoffDelay(Tick cycles);
+  // Condition wait on `queue`, resuming on this processor's poll grid of
+  // `period` from now (see park.h); the wait is counted as idle.
+  ParkAwaiter Park(ParkQueue& queue, Tick period, Tick deadline = kNoDeadline) {
+    return ParkAwaiter(&engine(), &queue, period, deadline, &stats_.idle_cycles);
+  }
 
  private:
   enum class AccessKind { kLoad, kStore, kSwap, kCas, kFetchAdd };
