@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "src/hflight/flight.h"
+#include "src/hsim/park.h"
 #include "src/hsim/types.h"
 
 namespace hmesh {
@@ -20,6 +21,7 @@ struct OpContext {
   std::uint32_t machine;
   ClientStats* stats;
   std::uint32_t in_flight = 0;
+  hsim::ParkQueue op_done;  // RunClient, waiting on the window or the drain
 };
 
 // One planned op, start to ack.  Captureless coroutine lambda equivalents
@@ -69,6 +71,7 @@ hsim::Task<void> RunOp(std::shared_ptr<OpContext> ctx, hload::PlannedOp op, Tick
     ++ctx->stats->failed;
   }
   --ctx->in_flight;
+  ctx->op_done.WakeAll(mesh->engine());
 }
 
 }  // namespace
@@ -90,14 +93,14 @@ hsim::Task<void> RunClient(Mesh* mesh, std::uint32_t m, const ClientConfig& conf
     co_await mesh->engine().WaitUntil(scheduled);
     // The window is a memory brake, not a pacing device (see client.h).
     while (ctx->in_flight >= config.window) {
-      co_await p.BackoffDelay(64);
+      co_await p.Park(ctx->op_done, 64);
     }
     ++stats->issued;
     ++ctx->in_flight;
     mesh->engine().Spawn(RunOp(ctx, plan[i], scheduled, ClientOpId(m, i)));
   }
   while (ctx->in_flight > 0) {
-    co_await p.BackoffDelay(256);
+    co_await p.Park(ctx->op_done, 256);
   }
   stats->done = true;
 }

@@ -42,6 +42,7 @@ Mesh::Mesh(hsim::Engine* engine, const MeshConfig& config)
     : engine_(engine), config_(config), ring_(config.vnodes, config.seed) {
   nodes_.reserve(config_.machines);
   channels_.resize(config_.machines * kLaneClasses * config_.lanes);
+  call_waiters_ = std::vector<hsim::ParkQueue>(channels_.size());
   for (std::uint32_t m = 0; m < config_.machines; ++m) {
     auto node = std::make_unique<Node>();
     node->machine = std::make_unique<hsim::Machine>(engine_, config_.member);
@@ -74,7 +75,12 @@ void Mesh::Start() {
   }
 }
 
-void Mesh::Shutdown() { stopped_ = true; }
+void Mesh::Shutdown() {
+  stopped_ = true;
+  for (const auto& node : nodes_) {
+    node->inbox_waiters.WakeAll(*engine_);
+  }
+}
 
 bool Mesh::Quiescent() const {
   for (const hsim::CallSlot<MeshPacket>& ch : channels_) {
@@ -128,7 +134,10 @@ hsim::Task<void> Mesh::DeliverAfter(MeshPacket packet, Tick delay) {
     ++discarded_to_down_;
   } else if (!packet.is_reply) {
     nodes_[packet.dst]->inbox.push_back(packet);
-  } else if (!channels_[packet.channel].Offer(packet)) {
+    nodes_[packet.dst]->inbox_waiters.WakeAll(*engine_);
+  } else if (channels_[packet.channel].Offer(packet)) {
+    call_waiters_[packet.channel].WakeAll(*engine_);
+  } else {
     ++stale_replies_;
   }
 }
@@ -139,6 +148,7 @@ hsim::Task<CallOutcome> Mesh::Call(hsim::Processor& p, std::uint32_t src, std::u
   Node& node = *nodes_[src];
   const std::uint64_t inc = node.incarnation;
   hsim::CallSlot<MeshPacket>& ch = channels_[ChannelId(src, lane)];
+  hsim::ParkQueue& reply_wait = call_waiters_[ChannelId(src, lane)];
   assert(!ch.busy() && "lane handed to two concurrent calls");
   assert(lane / config_.lanes == LaneClassOf(packet.op) && "op on a lane of the wrong class");
   packet.is_reply = false;
@@ -164,7 +174,9 @@ hsim::Task<CallOutcome> Mesh::Call(hsim::Processor& p, std::uint32_t src, std::u
   SendPacket(packet, p.now());
   timer.Arm(p.now());
   while (!ch.ready()) {
-    co_await p.BackoffDelay(config_.net_poll);
+    // Woken by the reply, Kill or a failover; unwoken, at the first poll
+    // that finds the retransmit deadline passed.
+    co_await p.Park(reply_wait, config_.net_poll, timer.deadline());
     if (node.incarnation != inc) {
       co_return out;  // crashed mid-call; channel was reset by Kill
     }
@@ -216,10 +228,12 @@ std::uint32_t Mesh::ChannelId(std::uint32_t m, std::uint32_t lane) const {
 
 hsim::Task<std::uint32_t> Mesh::AcquireLane(hsim::Processor& p, std::uint32_t m,
                                             std::uint64_t inc, MeshOp op) {
-  std::vector<std::uint32_t>& pool = nodes_[m]->free_lanes[LaneClassOf(op)];
+  Node& node = *nodes_[m];
+  const std::uint32_t cls = LaneClassOf(op);
+  std::vector<std::uint32_t>& pool = node.free_lanes[cls];
   while (pool.empty()) {
-    co_await p.BackoffDelay(config_.net_poll);
-    if (nodes_[m]->incarnation != inc) {
+    co_await p.Park(node.lane_waiters[cls], config_.net_poll);
+    if (node.incarnation != inc) {
       co_return ~0u;
     }
   }
@@ -229,7 +243,9 @@ hsim::Task<std::uint32_t> Mesh::AcquireLane(hsim::Processor& p, std::uint32_t m,
 }
 
 void Mesh::ReleaseLane(std::uint32_t m, std::uint32_t lane) {
-  nodes_[m]->free_lanes[lane / config_.lanes].push_back(lane);
+  Node& node = *nodes_[m];
+  node.free_lanes[lane / config_.lanes].push_back(lane);
+  node.lane_waiters[lane / config_.lanes].WakeFirst(*engine_);
 }
 
 void Mesh::ResetLanes(std::uint32_t m) {
@@ -241,8 +257,30 @@ void Mesh::ResetLanes(std::uint32_t m) {
     for (std::uint32_t i = config_.lanes; i-- > 0;) {
       const std::uint32_t lane = cls * config_.lanes + i;
       channels_[ChannelId(m, lane)].Reset();
+      call_waiters_[ChannelId(m, lane)].WakeAll(*engine_);
       pool.push_back(lane);
     }
+    nodes_[m]->lane_waiters[cls].WakeAll(*engine_);
+  }
+}
+
+void Mesh::ReleaseKey(Node& node, std::uint64_t key) {
+  node.write_busy.erase(key);
+  const auto it = node.key_waiters.find(key);
+  if (it != node.key_waiters.end()) {
+    it->second.WakeFirst(*engine_);
+    if (it->second.empty()) {
+      node.key_waiters.erase(it);
+    }
+  }
+}
+
+void Mesh::MembershipChanged() {
+  for (hsim::ParkQueue& q : call_waiters_) {
+    q.WakeAll(*engine_);
+  }
+  for (const auto& node : nodes_) {
+    node->owner_waiters.WakeAll(*engine_);
   }
 }
 
@@ -268,6 +306,7 @@ hsim::Task<void> Mesh::StoreService(hsim::Processor& p, std::uint32_t m, std::ui
 void Mesh::ApplyEntry(Node& node, std::uint64_t key, std::uint64_t value,
                       std::uint64_t version, std::uint64_t op_id, bool log) {
   node.store[key] = Entry{value, version, op_id};
+  node.owner_waiters.WakeAll(*engine_);  // a waiting local read may now hold the key
   RecordAppliedOp(node, op_id, key, value, version);
   if (log && op_id != 0) {
     std::vector<std::uint64_t>& versions = op_versions_[op_id];
@@ -300,7 +339,7 @@ hsim::Task<void> Mesh::ServerLoop(std::uint32_t m, std::uint64_t inc) {
   hsim::Processor& p = node.machine->processor(0);
   while (node.incarnation == inc && !stopped_) {
     if (node.inbox.empty()) {
-      co_await p.BackoffDelay(config_.net_poll);
+      co_await p.Park(node.inbox_waiters, config_.net_poll);
       continue;
     }
     MeshPacket packet = node.inbox.front();
@@ -495,7 +534,7 @@ hsim::Task<PutResult> Mesh::ApplyPut(hsim::Processor& p, std::uint32_t m, std::u
   PutResult result;
   // Serialize writers per key: versions are assigned under this flag.
   while (node.write_busy.count(key) != 0) {
-    co_await p.BackoffDelay(config_.net_poll);
+    co_await p.Park(node.key_waiters[key], config_.net_poll);
     if (node.incarnation != inc) {
       co_return result;
     }
@@ -534,7 +573,7 @@ hsim::Task<PutResult> Mesh::ApplyPut(hsim::Processor& p, std::uint32_t m, std::u
       }
       ReleaseLane(m, lane);
     }
-    node.write_busy.erase(key);
+    ReleaseKey(node, key);
     result.status = MeshStatus::kOk;
     result.version = recorded.version;
     co_return result;
@@ -553,6 +592,7 @@ hsim::Task<PutResult> Mesh::ApplyPut(hsim::Processor& p, std::uint32_t m, std::u
   struct Fanout {
     std::uint32_t pending = 0;
     std::uint32_t abandoned = 0;
+    hsim::ParkQueue join;  // this put, woken as each leg ends
   };
   auto fan = std::make_shared<Fanout>();
   bool first = true;
@@ -585,22 +625,23 @@ hsim::Task<PutResult> Mesh::ApplyPut(hsim::Processor& p, std::uint32_t m, std::u
                         std::shared_ptr<Fanout> state) -> hsim::Task<void> {
         hsim::Processor& pp = mesh->nodes_[src]->machine->processor(0);
         const std::uint32_t lane = co_await mesh->AcquireLane(pp, src, my_inc, pkt.op);
-        if (lane == ~0u) {
-          ++state->abandoned;
-          co_return;
+        if (lane != ~0u) {
+          co_await mesh->Call(pp, src, lane, dst, pkt, nullptr);
         }
-        co_await mesh->Call(pp, src, lane, dst, pkt, nullptr);
-        if (mesh->nodes_[src]->incarnation != my_inc) {
+        if (lane == ~0u || mesh->nodes_[src]->incarnation != my_inc) {
           ++state->abandoned;
-          co_return;
+        } else {
+          mesh->ReleaseLane(src, lane);
+          --state->pending;
         }
-        mesh->ReleaseLane(src, lane);
-        --state->pending;
+        state->join.WakeAll(*mesh->engine_);
       }(this, m, inc, t, update, fan));
     }
   }
+  // A Kill reaches this join through the legs: it fences each of them, and
+  // each fenced leg counts itself abandoned and wakes the join.
   while (fan->pending > 0 && fan->abandoned == 0) {
-    co_await p.BackoffDelay(config_.net_poll);
+    co_await p.Park(fan->join, config_.net_poll);
     if (node.incarnation != inc) {
       co_return result;
     }
@@ -615,7 +656,7 @@ hsim::Task<PutResult> Mesh::ApplyPut(hsim::Processor& p, std::uint32_t m, std::u
   }
   ApplyEntry(node, key, value, version, op_id, /*log=*/true);
   ++node.counters.puts_served;
-  node.write_busy.erase(key);
+  ReleaseKey(node, key);
   result.status = MeshStatus::kOk;
   result.version = version;
   co_return result;
@@ -649,7 +690,7 @@ hsim::Task<MeshStatus> Mesh::ClientRead(hsim::Processor& p, std::uint32_t m,
     if (dst == m) {
       // Own machine is the owner but not serving (syncing after recovery);
       // wait for the catch-up round to flip it kUp.
-      co_await p.BackoffDelay(config_.net_poll);
+      co_await p.Park(node.owner_waiters, config_.net_poll);
       continue;
     }
     const std::uint32_t lane = co_await AcquireLane(p, m, inc, MeshOp::kGet);
@@ -689,7 +730,7 @@ hsim::Task<MeshStatus> Mesh::ClientWrite(hsim::Processor& p, std::uint32_t m,
     }
     const std::uint32_t dst = ring_.OwnerOf(key);
     if (dst == m && node.state != NodeState::kUp) {
-      co_await p.BackoffDelay(config_.net_poll);
+      co_await p.Park(node.owner_waiters, config_.net_poll);
       continue;  // own store is syncing; wait for the catch-up round
     }
     if (dst == m) {
@@ -738,6 +779,7 @@ void Mesh::Suspect(std::uint32_t m) {
   ++epoch_;
   ++failovers_;
   nodes_[m]->timeline.failover_at = engine_->now();
+  MembershipChanged();
 }
 
 void Mesh::Kill(std::uint32_t m) {
@@ -748,7 +790,13 @@ void Mesh::Kill(std::uint32_t m) {
   node.applied_ops.clear();
   node.applied_fifo.clear();
   node.inbox.clear();
+  node.inbox_waiters.WakeAll(*engine_);
   node.write_busy.clear();
+  for (auto& [key, waiters] : node.key_waiters) {
+    waiters.WakeAll(*engine_);
+  }
+  node.key_waiters.clear();
+  node.owner_waiters.WakeAll(*engine_);
   for (hsim::DedupWindow<MeshPacket>& w : node.windows) {
     w = {};
   }
@@ -859,6 +907,7 @@ hsim::Task<void> Mesh::ResyncTask(std::uint32_t m, std::uint64_t inc) {
   ring_.AddMachine(m);
   ++epoch_;
   node.state = NodeState::kUp;
+  MembershipChanged();
   // Round 2: catch-up.  A write that committed at a surviving owner between
   // round 1 reading its store and the rejoin above is closed here; writes
   // after the rejoin reach us directly via broadcast.

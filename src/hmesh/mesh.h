@@ -17,7 +17,11 @@
 // receiver keeps one dedup window per sender channel.  Every leg consults the
 // mesh's own hsim::FaultPlan with *machine ids* as the node ids, so
 // FaultPlan::PartitionNode partitions a whole machine and chaos scenarios need
-// no per-link plumbing.
+// no per-link plumbing.  Every wait -- for a reply, an inbox packet, a lane,
+// a busy key, a fan-out, an owner that cannot serve yet -- parks on the queue
+// of whatever ends it (src/hsim/park.h) and resumes on its net_poll grid, so
+// a waiting task costs no engine events yet sees changes at the tick a poll
+// loop would.
 //
 // Lanes and the wait-for order.  An initiator holds a lane for the whole of a
 // call, and an owner's put handler makes calls of its own (the kUpdate
@@ -79,6 +83,7 @@
 #include "src/hsim/exact_once.h"
 #include "src/hsim/fault.h"
 #include "src/hsim/machine.h"
+#include "src/hsim/park.h"
 #include "src/hsim/resource.h"
 #include "src/hsim/task.h"
 #include "src/hsim/types.h"
@@ -354,6 +359,12 @@ class Mesh {
     std::vector<hsim::DedupWindow<MeshPacket>> windows;  // by sender channel id
     std::set<std::uint64_t> write_busy;    // keys with a put in flight
     std::vector<std::uint32_t> free_lanes[kLaneClasses];  // by lane class
+    // Parked waiters (src/hsim/park.h), one queue per condition they wait on.
+    hsim::ParkQueue inbox_waiters;                 // idle ServerLoop
+    hsim::ParkQueue lane_waiters[kLaneClasses];    // AcquireLane, by lane class
+    std::map<std::uint64_t, hsim::ParkQueue> key_waiters;  // ApplyPut, by busy key
+    hsim::ParkQueue owner_waiters;                 // client ops owned by this node
+                                                   // while it cannot serve them
     NodeCounters counters;
     Timeline timeline;
     hprof::LockSiteStats* site = nullptr;
@@ -374,6 +385,10 @@ class Mesh {
   void ReleaseLane(std::uint32_t m, std::uint32_t lane);
   // Frees every lane of both classes and resets their channels.
   void ResetLanes(std::uint32_t m);
+  // Ends a put's hold on `key` and hands it to the next parked writer.
+  void ReleaseKey(Node& node, std::uint64_t key);
+  // Wakes every waiter whose condition reads the ring or a node's state.
+  void MembershipChanged();
 
   // --- server -----------------------------------------------------------------
   hsim::Task<void> ServerLoop(std::uint32_t m, std::uint64_t inc);
@@ -416,6 +431,7 @@ class Mesh {
   bool stopped_ = false;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<hsim::CallSlot<MeshPacket>> channels_;  // machines x 2 x lanes
+  std::vector<hsim::ParkQueue> call_waiters_;         // by channel: Call's reply wait
   std::vector<std::uint64_t> traffic_;     // machines x machines send counts
   std::map<std::uint64_t, std::vector<std::uint64_t>> op_versions_;
   std::unique_ptr<hsim::FaultPlan> fault_plan_;

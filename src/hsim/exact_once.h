@@ -125,6 +125,7 @@ class RetransmitTimer {
   explicit RetransmitTimer(Tick base) : timeout_(base), cap_(base * kCapFactor) {}
 
   Tick timeout() const { return timeout_; }
+  Tick deadline() const { return deadline_; }
   void Arm(Tick now) { deadline_ = now + timeout_; }
   bool Expired(Tick now) const { return now >= deadline_; }
 
