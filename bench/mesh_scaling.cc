@@ -73,6 +73,7 @@ struct SweepPoint {
   double local_frac = 0;
   double p99_us = 0;
   double update_amp = 0;  // replica updates applied per put served
+  double events_per_op = 0;  // engine events per completed op (simulator cost)
   std::uint64_t completed = 0;
   std::uint64_t forwarded = 0;
   bool done = false;
@@ -108,11 +109,13 @@ SweepPoint RunSweepPoint(std::uint32_t machines, double read_fraction, double ra
   SweepPoint pt;
   pt.machines = machines;
   pt.offered_ops_s = rate_per_s * machines;
+  const std::uint64_t events_before = eng.events_processed();
   pt.done = DriveUntil(eng, UsToTicks(10'000'000), [&] {
     return std::all_of(stats.begin(), stats.end(),
                        [](const ClientStats& s) { return s.done; });
   });
   const Tick end = eng.now();
+  const std::uint64_t events = eng.events_processed() - events_before;
 
   hload::LatencyRecorder merged;
   std::uint64_t local = 0;
@@ -132,6 +135,9 @@ SweepPoint RunSweepPoint(std::uint32_t machines, double read_fraction, double ra
   pt.tp_ops_s = end == 0 ? 0
                          : static_cast<double>(pt.completed) / (TicksToUs(end) / 1e6);
   pt.p99_us = static_cast<double>(merged.PercentileNs(99)) / 1000.0;
+  pt.events_per_op = pt.completed == 0 ? 0
+                                        : static_cast<double>(events) /
+                                              static_cast<double>(pt.completed);
 
   mesh.Shutdown();
   eng.RunUntilIdle();
@@ -258,8 +264,8 @@ int main(int argc, char** argv) {
   // --- read-mostly weak scaling ---------------------------------------------
   std::printf("mesh read-mostly weak scaling (95/5, %.0fk ops/s per machine)\n",
               read_rate / 1000);
-  std::printf("  %-9s %12s %12s %9s %8s %8s\n", "machines", "offered/s", "achieved/s",
-              "speedup", "local%", "p99_us");
+  std::printf("  %-9s %12s %12s %9s %8s %8s %10s\n", "machines", "offered/s", "achieved/s",
+              "speedup", "local%", "p99_us", "events/op");
   auto& read_series = report.AddSeries("mesh_scaling", {{"workload", "read_mostly"}});
   double tp1 = 0;
   double tp8 = 0;
@@ -272,8 +278,8 @@ int main(int argc, char** argv) {
       tp8 = pt.tp_ops_s;
     }
     const double speedup = tp1 == 0 ? 0 : pt.tp_ops_s / tp1;
-    std::printf("  %-9u %12.0f %12.0f %8.2fx %7.1f%% %8.1f%s\n", n, pt.offered_ops_s,
-                pt.tp_ops_s, speedup, pt.local_frac * 100, pt.p99_us,
+    std::printf("  %-9u %12.0f %12.0f %8.2fx %7.1f%% %8.1f %10.1f%s\n", n, pt.offered_ops_s,
+                pt.tp_ops_s, speedup, pt.local_frac * 100, pt.p99_us, pt.events_per_op,
                 pt.done ? "" : "  [DID NOT DRAIN]");
     read_series.AddPoint({{"machines", static_cast<double>(n)},
                           {"offered_ops_s", pt.offered_ops_s},
@@ -281,15 +287,16 @@ int main(int argc, char** argv) {
                           {"speedup", speedup},
                           {"frac_local", pt.local_frac},
                           {"update_amp", pt.update_amp},
-                          {"completed", static_cast<double>(pt.completed)}});
+                          {"completed", static_cast<double>(pt.completed)},
+                          {"events_per_op", pt.events_per_op}});
   }
   const double read_speedup_8 = tp1 == 0 ? 0 : tp8 / tp1;
 
   // --- write-heavy broadcast cost -------------------------------------------
   std::printf("\nmesh write-heavy broadcast cost (50/50, %.0fk ops/s per machine)\n",
               write_rate / 1000);
-  std::printf("  %-9s %12s %12s %11s\n", "machines", "offered/s", "achieved/s",
-              "updates/put");
+  std::printf("  %-9s %12s %12s %11s %10s\n", "machines", "offered/s", "achieved/s",
+              "updates/put", "events/op");
   auto& write_series = report.AddSeries("mesh_scaling", {{"workload", "write_heavy"}});
   double write_tp8 = 0;
   double read_tp8_at_write_rate = tp8;
@@ -298,13 +305,14 @@ int main(int argc, char** argv) {
     if (n == 8) {
       write_tp8 = pt.tp_ops_s;
     }
-    std::printf("  %-9u %12.0f %12.0f %11.2f%s\n", n, pt.offered_ops_s, pt.tp_ops_s,
-                pt.update_amp, pt.done ? "" : "  [DID NOT DRAIN]");
+    std::printf("  %-9u %12.0f %12.0f %11.2f %10.1f%s\n", n, pt.offered_ops_s, pt.tp_ops_s,
+                pt.update_amp, pt.events_per_op, pt.done ? "" : "  [DID NOT DRAIN]");
     write_series.AddPoint({{"machines", static_cast<double>(n)},
                            {"offered_ops_s", pt.offered_ops_s},
                            {"tp_ops_s", pt.tp_ops_s},
                            {"update_amp", pt.update_amp},
-                           {"completed", static_cast<double>(pt.completed)}});
+                           {"completed", static_cast<double>(pt.completed)},
+                           {"events_per_op", pt.events_per_op}});
   }
 
   // --- chaos campaign --------------------------------------------------------
