@@ -174,6 +174,9 @@ void Runtime::WaitForGo(VThread& self) {
 }
 
 void Runtime::SwitchFromTo(VThread& self, VThread& next) {
+  // Read before the hand-off: from then on `next` runs and may write
+  // self.state (a join or unlock making this thread runnable again).
+  const bool finished = self.state == ThreadState::kDone;
   next.yielded = false;
   current_ = next.id;
   {
@@ -181,7 +184,7 @@ void Runtime::SwitchFromTo(VThread& self, VThread& next) {
     next.go = true;
   }
   next.cv.notify_one();
-  if (self.state == ThreadState::kDone) {
+  if (finished) {
     return;  // a finished thread hands off and exits; nothing resumes it
   }
   WaitForGo(self);
