@@ -232,6 +232,8 @@ void Service::Complete(Pump& pump, Request* req, Status status, std::uint64_t va
   // Push is a release: the client's Pop acquires, so every output field
   // written above is visible to the owner when the node comes back.
   completion->Push(&req->free_link);
+  // Last pump write for this request: Drain acquires it.
+  pump.handed_back.fetch_add(1, std::memory_order_release);
 }
 
 void Service::PaceOne(Pump& pump) {
@@ -264,7 +266,7 @@ void Service::PaceOne(Pump& pump) {
 
 void Service::Drain() {
   while (true) {
-    const std::uint64_t done = served() + expired();
+    const std::uint64_t done = Sum(&Pump::handed_back);
     const std::uint64_t in = admitted();
     if (done >= in) {
       return;

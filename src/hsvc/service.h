@@ -200,9 +200,13 @@ class Service {
     // Producer-side counters (any client thread).
     std::atomic<std::uint64_t> admitted{0};
     std::atomic<std::uint64_t> rejected{0};
-    // Pump-side counters (single writer, concurrent relaxed readers).
+    // Pump-side counters (single writer, concurrent readers).  served and
+    // expired are counted before the completion Push, so an owner that pops
+    // its request already sees them; handed_back is counted after it, with
+    // release, so Drain's acquire orders every pump write to the request.
     std::atomic<std::uint64_t> served{0};
     std::atomic<std::uint64_t> expired{0};
+    std::atomic<std::uint64_t> handed_back{0};
     std::atomic<std::uint64_t> batches{0};
     std::atomic<std::uint64_t> combined{0};
     std::atomic<std::uint64_t> ema_service_ns{2000};  // retry-after input
@@ -225,7 +229,7 @@ class Service {
   std::uint64_t Sum(std::atomic<std::uint64_t> Pump::* counter) const {
     std::uint64_t total = 0;
     for (const auto& pump : pumps_) {
-      total += (pump.get()->*counter).load(std::memory_order_relaxed);
+      total += (pump.get()->*counter).load(std::memory_order_acquire);
     }
     return total;
   }
