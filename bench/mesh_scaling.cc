@@ -19,7 +19,8 @@
 //   chaos campaign (4 machines): kill one member at steady state under load
 //     with a lossy transport, recover it, re-sync.  Gates: every acked write
 //     applied at exactly one version (exact-once), the highest acked version
-//     of every key survives on the final owner (zero lost ops), failover
+//     of every key survives on the final owner and every holder that stores
+//     it (zero lost ops), failover
 //     detection and re-sync fit their configured budgets, and the whole
 //     campaign replays bit-identically (equal mesh digests across two runs).
 //
@@ -30,7 +31,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -147,7 +147,7 @@ SweepPoint RunSweepPoint(std::uint32_t machines, double read_fraction, double ra
 struct ChaosOutcome {
   bool done = false;
   bool exact_once = true;
-  std::uint64_t lost_ops = 0;
+  std::uint64_t lost_ops = 0;  // lost-write violations, one per key and holder
   std::uint64_t completed = 0;
   std::uint64_t issued = 0;
   std::uint64_t failovers = 0;
@@ -208,25 +208,13 @@ ChaosOutcome RunChaos(std::uint64_t ops, hmetrics::Registry* registry) {
     out.put_dedups += mesh.node_counters(m).put_dedups;
   }
 
-  // Gate 1: exact-once -- one applied version per acked op.
-  for (const AckedWrite& w : acked) {
-    const auto it = mesh.op_versions().find(w.op_id);
-    if (it == mesh.op_versions().end() || it->second.size() != 1 ||
-        it->second[0] != w.version) {
+  // Gate 1: exact-once -- one applied version per acked op.  Gate 2: zero
+  // lost ops -- the highest acked version of every key on its owner and on
+  // every other holder that stores it.
+  for (const hmesh::AuditViolation& v : hmesh::AuditAckedWrites(mesh, acked)) {
+    if (v.kind == hmesh::AuditViolation::Kind::kNotExactOnce) {
       out.exact_once = false;
-    }
-  }
-  // Gate 2: zero lost ops -- highest acked version of every key on its owner.
-  std::map<std::uint64_t, AckedWrite> newest;
-  for (const AckedWrite& w : acked) {
-    auto [it, inserted] = newest.emplace(w.key, w);
-    if (!inserted && w.version > it->second.version) {
-      it->second = w;
-    }
-  }
-  for (const auto& [key, w] : newest) {
-    const Mesh::Entry* e = mesh.Lookup(mesh.ring().OwnerOf(key), key);
-    if (e == nullptr || e->version != w.version || e->value != w.value) {
+    } else {
       ++out.lost_ops;
     }
   }

@@ -99,6 +99,15 @@ FlightRecord* FlightRecorder::Open(std::uint32_t cluster, std::uint64_t begin_ti
   return rec;
 }
 
+FlightRecord* FlightRecorder::OpenLeg(std::uint32_t cluster, std::uint64_t send_ticks,
+                                      std::uint64_t parent_id, std::uint64_t now_ticks) {
+  FlightRecord* rec = Open(cluster, std::min(send_ticks, now_ticks), parent_id);
+  rec->enqueue = rec->begin;
+  rec->start = now_ticks;
+  rec->exec = now_ticks;
+  return rec;
+}
+
 void FlightRecorder::Close(FlightRecord* rec, Fate fate, std::uint64_t end_ticks) {
   rec->fate = fate;
   rec->end = end_ticks;

@@ -277,6 +277,12 @@ class FlightRecorder {
   // record, open or not) and opens it.  Never fails, never allocates.
   FlightRecord* Open(std::uint32_t cluster, std::uint64_t begin_ticks,
                      std::uint64_t parent_id = 0);
+  // Opens the handler-side record of one RPC leg, causally linked to the
+  // initiator's record `parent_id`.  Its clock starts at the send instant
+  // (capped at now), so the inbox phase is the full wire + delivery-queue
+  // delay, and execution starts now.
+  FlightRecord* OpenLeg(std::uint32_t cluster, std::uint64_t send_ticks,
+                        std::uint64_t parent_id, std::uint64_t now_ticks);
 
   // Stamps the terminal fate and end time, derives the phase ledger, and
   // feeds the aggregation + tail sampler.  The record stays readable in its

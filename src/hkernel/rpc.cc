@@ -135,19 +135,14 @@ hsim::Task<void> CpuKernel::RunHandlers(hsim::Processor& p, std::deque<RpcPacket
       span = tr->BeginSpan(hmetrics::kTraceRpc, "rpc/handle", p.id(), p.now());
       tr->AddArg(span, "op", RpcOpName(packet.op));
     }
-    // Causally linked child record: its clock starts at the initiator's send
-    // instant, so the inbox phase is the full wire + delivery-queue delay.
-    // Only the first execution opens one -- dedup hits above never get here.
+    // Causally linked child record (FlightRecorder::OpenLeg).  Only the first
+    // execution opens one -- dedup hits above never get here.
     hflight::FlightRecorder* flight = system_->flight();
-    hflight::FlightRecord* frec = nullptr;
-    if (flight != nullptr && packet.flight_id != 0) {
-      frec = flight->Open(system_->cluster_of_proc(id_),
-                          std::min<std::uint64_t>(packet.flight_send, p.now()),
-                          packet.flight_id);
-      frec->enqueue = frec->begin;
-      frec->start = p.now();
-      frec->exec = p.now();
-    }
+    hflight::FlightRecord* frec =
+        flight != nullptr && packet.flight_id != 0
+            ? flight->OpenLeg(system_->cluster_of_proc(id_), packet.flight_send,
+                              packet.flight_id, p.now())
+            : nullptr;
     RpcRequest request;
     request.op = packet.op;
     request.page = packet.page;

@@ -1,5 +1,6 @@
 #include "src/hmesh/client.h"
 
+#include <map>
 #include <memory>
 
 #include "src/hflight/flight.h"
@@ -103,6 +104,38 @@ hsim::Task<void> RunClient(Mesh* mesh, std::uint32_t m, const ClientConfig& conf
     co_await p.Park(ctx->op_done, 256);
   }
   stats->done = true;
+}
+
+std::vector<AuditViolation> AuditAckedWrites(const Mesh& mesh,
+                                             const std::vector<AckedWrite>& acked) {
+  std::vector<AuditViolation> violations;
+  std::map<std::uint64_t, AckedWrite> newest;  // key -> highest acked version
+  for (const AckedWrite& w : acked) {
+    const auto it = mesh.op_versions().find(w.op_id);
+    if (it == mesh.op_versions().end() || it->second != std::vector<std::uint64_t>{w.version}) {
+      violations.push_back({AuditViolation::Kind::kNotExactOnce,
+                            "op " + std::to_string(w.op_id) + " acked at version " +
+                                std::to_string(w.version) +
+                                " was not applied exactly once, at that version"});
+    }
+    auto [nit, inserted] = newest.emplace(w.key, w);
+    if (!inserted && w.version > nit->second.version) {
+      nit->second = w;
+    }
+  }
+  for (const auto& [key, w] : newest) {
+    const std::uint32_t owner = mesh.ring().OwnerOf(key);
+    for (std::uint32_t m : mesh.HoldersOf(key)) {
+      const Mesh::Entry* e = mesh.Lookup(m, key);
+      if (e == nullptr ? m == owner : e->version != w.version || e->value != w.value) {
+        violations.push_back({AuditViolation::Kind::kLostWrite,
+                              "key " + std::to_string(key) + " on machine " + std::to_string(m) +
+                                  " lacks its newest acked write, version " +
+                                  std::to_string(w.version)});
+      }
+    }
+  }
+  return violations;
 }
 
 }  // namespace hmesh

@@ -10,8 +10,8 @@
 // how earlier ops are faring, and latency is recorded against the scheduled
 // instant -- a slow mesh cannot hide behind its own queueing (coordinated
 // omission).  Every acked write is logged with the version the mesh
-// assigned, which is what the chaos campaign audits against the mesh's apply
-// ledger (exactly-once) and the surviving stores (zero lost ops).
+// assigned, which AuditAckedWrites checks against the mesh's apply ledger
+// (exactly-once) and the surviving stores (zero lost ops).
 //
 // The bounded in-flight window is the only brake, and it is a memory brake:
 // it caps the op tasks a client keeps alive.  It is not what keeps the mesh
@@ -25,6 +25,7 @@
 #define HMESH_CLIENT_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/hload/recorder.h"
@@ -46,6 +47,19 @@ struct AckedWrite {
   std::uint64_t version = 0;
   std::uint64_t op_id = 0;
 };
+
+struct AuditViolation {
+  enum class Kind : std::uint8_t { kNotExactOnce, kLostWrite } kind = Kind::kNotExactOnce;
+  std::string what;
+};
+
+// Audits a drained mesh against the writes its clients saw acked.  kNotExactOnce:
+// an acked op was not applied at exactly one version, the acked one.
+// kLostWrite: a key's newest acked write is missing from its owner, or another
+// policy holder stores the key at a different version or value.  Asserts
+// nothing; returns every violation found.
+std::vector<AuditViolation> AuditAckedWrites(const Mesh& mesh,
+                                             const std::vector<AckedWrite>& acked);
 
 struct ClientStats {
   std::uint64_t issued = 0;

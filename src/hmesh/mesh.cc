@@ -20,23 +20,17 @@ constexpr std::uint32_t kStripeWords = 4;
 std::uint32_t LaneClassOf(MeshOp op) {
   return op == MeshOp::kGet || op == MeshOp::kPut ? 0 : 1;
 }
-}  // namespace
 
-const char* MeshOpName(MeshOp op) {
-  switch (op) {
-    case MeshOp::kGet:
-      return "get";
-    case MeshOp::kPut:
-      return "put";
-    case MeshOp::kUpdate:
-      return "update";
-    case MeshOp::kSyncPull:
-      return "sync_pull";
-    case MeshOp::kSyncOps:
-      return "sync_ops";
-  }
-  return "?";
+// What recovery pulls from each peer, in order: its store, then its dedup
+// table.
+constexpr MeshOp kPullOps[] = {MeshOp::kSyncPull, MeshOp::kSyncOps};
+
+// Where a kSyncPull (key) or kSyncOps (op id) pull resumes after `last`, the
+// final entry of a batch: cursors name the first record still to serve.
+std::uint64_t SyncCursor(MeshOp op, const SyncEntry& last) {
+  return (op == MeshOp::kSyncPull ? last.key : last.writer_op) + 1;
 }
+}  // namespace
 
 Mesh::Mesh(hsim::Engine* engine, const MeshConfig& config)
     : engine_(engine), config_(config), ring_(config.vnodes, config.seed) {
@@ -83,14 +77,15 @@ void Mesh::Shutdown() {
 }
 
 bool Mesh::Quiescent() const {
-  for (const hsim::CallSlot<MeshPacket>& ch : channels_) {
-    if (ch.busy()) {
-      return false;
-    }
-  }
   for (const auto& node : nodes_) {
     if (!node->inbox.empty() || !node->write_busy.empty()) {
       return false;
+    }
+    // An open call holds its lane, so full pools also mean no busy channel.
+    for (const std::vector<std::uint32_t>& pool : node->free_lanes) {
+      if (pool.size() != config_.lanes) {
+        return false;
+      }
     }
   }
   return true;
@@ -131,8 +126,9 @@ hsim::Task<void> Mesh::DeliverAfter(MeshPacket packet, Tick delay) {
   // A reply's destination is the machine of the initiating channel: a dead
   // machine's pending calls are void, as is anything else addressed to it.
   if (nodes_[packet.dst]->state == NodeState::kDown) {
-    ++discarded_to_down_;
-  } else if (!packet.is_reply) {
+    co_return;
+  }
+  if (!packet.is_reply) {
     nodes_[packet.dst]->inbox.push_back(packet);
     nodes_[packet.dst]->inbox_waiters.WakeAll(*engine_);
   } else if (channels_[packet.channel].Offer(packet)) {
@@ -142,22 +138,38 @@ hsim::Task<void> Mesh::DeliverAfter(MeshPacket packet, Tick delay) {
   }
 }
 
-hsim::Task<CallOutcome> Mesh::Call(hsim::Processor& p, std::uint32_t src, std::uint32_t lane,
+hsim::Task<CallOutcome> Mesh::Call(hsim::Processor& p, std::uint32_t src, std::uint64_t inc,
                                    std::uint32_t dst, MeshPacket packet,
                                    hflight::FlightRecord* rec) {
   Node& node = *nodes_[src];
-  const std::uint64_t inc = node.incarnation;
+  CallOutcome out;
+  const std::uint32_t cls = LaneClassOf(packet.op);
+  std::vector<std::uint32_t>& pool = node.free_lanes[cls];
+  while (node.incarnation == inc && pool.empty()) {
+    co_await p.Park(node.lane_waiters[cls], config_.net_poll);
+  }
+  if (node.incarnation != inc) {
+    co_return out;
+  }
+  const std::uint32_t lane = pool.back();
+  pool.pop_back();
   hsim::CallSlot<MeshPacket>& ch = channels_[ChannelId(src, lane)];
   hsim::ParkQueue& reply_wait = call_waiters_[ChannelId(src, lane)];
   assert(!ch.busy() && "lane handed to two concurrent calls");
-  assert(lane / config_.lanes == LaneClassOf(packet.op) && "op on a lane of the wrong class");
+  // Ends the call and hands its lane to the next parked caller.  A fenced
+  // call never gets here: Kill already reset the channel and refilled both
+  // pools.
+  const auto release = [&] {
+    ch.Reset();
+    pool.push_back(lane);
+    node.lane_waiters[cls].WakeFirst(*engine_);
+  };
   packet.is_reply = false;
   packet.channel = ChannelId(src, lane);
   packet.seq = ch.Begin();
   packet.src = src;
   packet.dst = dst;
 
-  CallOutcome out;
   std::uint32_t retransmits = 0;
   int consecutive_timeouts = 0;
   hsim::RetransmitTimer timer(config_.net_timeout);
@@ -166,9 +178,7 @@ hsim::Task<CallOutcome> Mesh::Call(hsim::Processor& p, std::uint32_t src, std::u
   if (node.incarnation != inc) {
     co_return out;  // crashed during marshal; Kill already reset the channel
   }
-  if (rec != nullptr) {
-    packet.flight_id = rec->id;
-  }
+  packet.flight_id = rec != nullptr ? rec->id : 0;
   packet.flight_send = p.now();
   ++node.counters.rpcs_out;
   SendPacket(packet, p.now());
@@ -184,7 +194,7 @@ hsim::Task<CallOutcome> Mesh::Call(hsim::Processor& p, std::uint32_t src, std::u
       // Failover committed: the destination is gone for good (a partitioned
       // but live machine stays in the ring and we keep retransmitting).
       ++node.counters.unavailable;
-      ch.Reset();
+      release();
       out.status = MeshStatus::kUnavailable;
       co_return out;
     }
@@ -212,11 +222,10 @@ hsim::Task<CallOutcome> Mesh::Call(hsim::Processor& p, std::uint32_t src, std::u
   out.value = ch.reply().value;
   out.version = ch.reply().version;
   out.sync = std::move(ch.reply().sync);
-  out.retransmits = retransmits;
   if (rec != nullptr) {
     rec->AddRpc(p.now() - call_begin, retransmits);
   }
-  ch.Reset();
+  release();
   co_return out;
 }
 
@@ -224,28 +233,6 @@ hsim::Task<CallOutcome> Mesh::Call(hsim::Processor& p, std::uint32_t src, std::u
 
 std::uint32_t Mesh::ChannelId(std::uint32_t m, std::uint32_t lane) const {
   return m * kLaneClasses * config_.lanes + lane;
-}
-
-hsim::Task<std::uint32_t> Mesh::AcquireLane(hsim::Processor& p, std::uint32_t m,
-                                            std::uint64_t inc, MeshOp op) {
-  Node& node = *nodes_[m];
-  const std::uint32_t cls = LaneClassOf(op);
-  std::vector<std::uint32_t>& pool = node.free_lanes[cls];
-  while (pool.empty()) {
-    co_await p.Park(node.lane_waiters[cls], config_.net_poll);
-    if (node.incarnation != inc) {
-      co_return ~0u;
-    }
-  }
-  const std::uint32_t lane = pool.back();
-  pool.pop_back();
-  co_return lane;
-}
-
-void Mesh::ReleaseLane(std::uint32_t m, std::uint32_t lane) {
-  Node& node = *nodes_[m];
-  node.free_lanes[lane / config_.lanes].push_back(lane);
-  node.lane_waiters[lane / config_.lanes].WakeFirst(*engine_);
 }
 
 void Mesh::ResetLanes(std::uint32_t m) {
@@ -307,7 +294,7 @@ void Mesh::ApplyEntry(Node& node, std::uint64_t key, std::uint64_t value,
                       std::uint64_t version, std::uint64_t op_id, bool log) {
   node.store[key] = Entry{value, version, op_id};
   node.owner_waiters.WakeAll(*engine_);  // a waiting local read may now hold the key
-  RecordAppliedOp(node, op_id, key, value, version);
+  RecordAppliedOp(node, SyncEntry{key, value, version, op_id});
   if (log && op_id != 0) {
     std::vector<std::uint64_t>& versions = op_versions_[op_id];
     if (std::find(versions.begin(), versions.end(), version) == versions.end()) {
@@ -316,16 +303,14 @@ void Mesh::ApplyEntry(Node& node, std::uint64_t key, std::uint64_t value,
   }
 }
 
-void Mesh::RecordAppliedOp(Node& node, std::uint64_t op_id, std::uint64_t key,
-                           std::uint64_t value, std::uint64_t version) {
-  if (op_id == 0) {
+void Mesh::RecordAppliedOp(Node& node, const SyncEntry& op) {
+  if (op.writer_op == 0) {
     return;  // preload / resync of seeded entries: nothing to dedup against
   }
-  const auto [it, inserted] = node.applied_ops.emplace(op_id, AppliedOp{key, value, version});
-  if (!inserted) {
+  if (!node.applied_ops.emplace(op.writer_op, op).second) {
     return;  // version-gated repairs re-apply known ops; keep the original record
   }
-  node.applied_fifo.push_back(op_id);
+  node.applied_fifo.push_back(op.writer_op);
   while (node.applied_fifo.size() > config_.dedup_window) {
     node.applied_ops.erase(node.applied_fifo.front());
     node.applied_fifo.pop_front();
@@ -363,8 +348,20 @@ hsim::Task<void> Mesh::ServerLoop(std::uint32_t m, std::uint64_t inc) {
   }
 }
 
+hflight::FlightRecord* Mesh::OpenHandlerRecord(std::uint32_t m, const MeshPacket& request,
+                                               Tick now) {
+  if (flight_ == nullptr || request.flight_id == 0) {
+    return nullptr;
+  }
+  return flight_->OpenLeg(m, request.flight_send, request.flight_id, now);
+}
+
 void Mesh::CompleteRequest(Node& node, const MeshPacket& request, MeshPacket reply,
-                           Tick now) {
+                           hflight::FlightRecord* rec, Tick now) {
+  if (rec != nullptr) {
+    rec->done = now;
+    flight_->Close(rec, hflight::Fate::kOk, now);
+  }
   reply.is_reply = true;
   reply.channel = request.channel;
   reply.seq = request.seq;
@@ -378,13 +375,7 @@ void Mesh::CompleteRequest(Node& node, const MeshPacket& request, MeshPacket rep
 hsim::Task<void> Mesh::HandleInline(hsim::Processor& p, std::uint32_t m, std::uint64_t inc,
                                     MeshPacket packet) {
   Node& node = *nodes_[m];
-  hflight::FlightRecord* rec = nullptr;
-  if (flight_ != nullptr && packet.flight_id != 0) {
-    rec = flight_->Open(m, packet.flight_send, packet.flight_id);
-    rec->enqueue = packet.flight_send;
-    rec->start = p.now();
-    rec->exec = p.now();
-  }
+  hflight::FlightRecord* rec = OpenHandlerRecord(m, packet, p.now());
   MeshPacket reply;
   switch (packet.op) {
     case MeshOp::kGet: {
@@ -434,49 +425,38 @@ hsim::Task<void> Mesh::HandleInline(hsim::Processor& p, std::uint32_t m, std::ui
       reply.version = packet.version;
       break;
     }
-    case MeshOp::kSyncPull: {
-      // Serve every entry at or above the cursor (the *first* key to serve,
-      // so the initial pull at cursor 0 includes key 0), up to a batch: the
-      // recovering peer applies version-gated, so over-serving is harmless.
-      reply.status = MeshStatus::kOk;
-      auto it = node.store.lower_bound(packet.cursor);
-      Tick service = 0;
-      while (it != node.store.end() && reply.sync.size() < config_.sync_batch) {
-        reply.sync.push_back(
-            SyncEntry{it->first, it->second.value, it->second.version, it->second.writer_op});
-        service += config_.sync_entry_service;
-        ++it;
-      }
-      if (!reply.sync.empty()) {
-        co_await StoreService(p, m, reply.sync.back().key, service);
-        if (node.incarnation != inc) {
-          co_return;
-        }
-        node.counters.sync_entries_out += reply.sync.size();
-        reply.cursor = reply.sync.back().key + 1;
-      }
-      break;
-    }
+    case MeshOp::kSyncPull:
     case MeshOp::kSyncOps: {
-      // Same cursor discipline over the dedup table: op id -> record, so a
-      // rejoined owner recognises retries of puts it never saw (the store's
-      // per-key writer_op only carries the *last* writer of each key).
-      reply.status = MeshStatus::kOk;
-      auto it = node.applied_ops.lower_bound(packet.cursor);
-      Tick service = 0;
-      while (it != node.applied_ops.end() && reply.sync.size() < config_.sync_batch) {
-        reply.sync.push_back(
-            SyncEntry{it->second.key, it->second.value, it->second.version, it->first});
-        service += config_.sync_entry_service;
-        ++it;
+      // Serve every record at or above the cursor, up to a batch: store
+      // entries by key (kSyncPull; cursor 0 includes key 0) or the dedup
+      // table by op id (kSyncOps), so a rejoined owner also recognises
+      // retries of puts it never saw -- the store's per-key writer_op only
+      // carries the *last* writer of each key.  The recovering peer applies
+      // version-gated, so over-serving is harmless.
+      const auto serve = [&](const auto& table, auto to_entry) {
+        for (auto it = table.lower_bound(packet.cursor);
+             it != table.end() && reply.sync.size() < config_.sync_batch; ++it) {
+          reply.sync.push_back(to_entry(it->first, it->second));
+        }
+      };
+      const bool ops = packet.op == MeshOp::kSyncOps;
+      if (ops) {
+        serve(node.applied_ops, [](std::uint64_t, const SyncEntry& op) { return op; });
+      } else {
+        serve(node.store, [](std::uint64_t key, const Entry& e) {
+          return SyncEntry{key, e.value, e.version, e.writer_op};
+        });
       }
+      reply.status = MeshStatus::kOk;
       if (!reply.sync.empty()) {
-        co_await StoreService(p, m, reply.sync.back().key, service);
+        co_await StoreService(p, m, reply.sync.back().key,
+                              config_.sync_entry_service * reply.sync.size());
         if (node.incarnation != inc) {
           co_return;
         }
-        node.counters.sync_ops_out += reply.sync.size();
-        reply.cursor = reply.sync.back().writer_op + 1;
+        (ops ? node.counters.sync_ops_out : node.counters.sync_entries_out) +=
+            reply.sync.size();
+        reply.cursor = SyncCursor(packet.op, reply.sync.back());
       }
       break;
     }
@@ -484,23 +464,13 @@ hsim::Task<void> Mesh::HandleInline(hsim::Processor& p, std::uint32_t m, std::ui
       assert(false && "puts are handled by HandlePutTask");
       break;
   }
-  if (rec != nullptr) {
-    rec->done = p.now();
-    flight_->Close(rec, hflight::Fate::kOk, p.now());
-  }
-  CompleteRequest(node, packet, std::move(reply), p.now());
+  CompleteRequest(node, packet, std::move(reply), rec, p.now());
 }
 
 hsim::Task<void> Mesh::HandlePutTask(std::uint32_t m, std::uint64_t inc, MeshPacket packet) {
   Node& node = *nodes_[m];
   hsim::Processor& p = node.machine->processor(0);
-  hflight::FlightRecord* rec = nullptr;
-  if (flight_ != nullptr && packet.flight_id != 0) {
-    rec = flight_->Open(m, packet.flight_send, packet.flight_id);
-    rec->enqueue = packet.flight_send;
-    rec->start = p.now();
-    rec->exec = p.now();
-  }
+  hflight::FlightRecord* rec = OpenHandlerRecord(m, packet, p.now());
   MeshPacket reply;
   if (node.state != NodeState::kUp || ring_.OwnerOf(packet.key) != m) {
     // Refuse puts while syncing: a version assigned off a half-synced store
@@ -508,30 +478,23 @@ hsim::Task<void> Mesh::HandlePutTask(std::uint32_t m, std::uint64_t inc, MeshPac
     ++node.counters.wrong_owner;
     reply.status = MeshStatus::kWrongOwner;
   } else {
-    const PutResult r = co_await ApplyPut(p, m, inc, packet.key, packet.value, packet.op_id,
-                                          rec);
+    const CallOutcome r = co_await ApplyPut(p, m, inc, packet.key, packet.value,
+                                            packet.op_id, rec);
     if (node.incarnation != inc) {
       co_return;  // crashed mid-put: no reply, the client retries elsewhere
-    }
-    if (r.status == MeshStatus::kUnavailable) {
-      co_return;  // shutting down mid-broadcast; drop silently
     }
     reply.status = r.status;
     reply.key = packet.key;
     reply.version = r.version;
   }
-  if (rec != nullptr) {
-    rec->done = p.now();
-    flight_->Close(rec, hflight::Fate::kOk, p.now());
-  }
-  CompleteRequest(node, packet, std::move(reply), p.now());
+  CompleteRequest(node, packet, std::move(reply), rec, p.now());
 }
 
-hsim::Task<PutResult> Mesh::ApplyPut(hsim::Processor& p, std::uint32_t m, std::uint64_t inc,
-                                     std::uint64_t key, std::uint64_t value,
-                                     std::uint64_t op_id, hflight::FlightRecord* rec) {
+hsim::Task<CallOutcome> Mesh::ApplyPut(hsim::Processor& p, std::uint32_t m, std::uint64_t inc,
+                                       std::uint64_t key, std::uint64_t value,
+                                       std::uint64_t op_id, hflight::FlightRecord* rec) {
   Node& node = *nodes_[m];
-  PutResult result;
+  CallOutcome result;
   // Serialize writers per key: versions are assigned under this flag.
   while (node.write_busy.count(key) != 0) {
     co_await p.Park(node.key_waiters[key], config_.net_poll);
@@ -551,27 +514,19 @@ hsim::Task<PutResult> Mesh::ApplyPut(hsim::Processor& p, std::uint32_t m, std::u
     // we repair -- re-broadcast the recorded version (idempotent: every
     // replica applies version-gated).  Dedup hits only happen on
     // owner-failover retries, so the repair traffic is off the hot path.
-    const AppliedOp recorded = dedup_it->second;  // copy: the table can move under awaits
+    const SyncEntry recorded = dedup_it->second;  // copy: the table can move under awaits
     ++node.counters.put_dedups;
     for (std::uint32_t t : HoldersOf(key)) {
       if (t == m) {
         continue;
       }
-      MeshPacket repair;
-      repair.op = MeshOp::kUpdate;
-      repair.key = key;
-      repair.value = recorded.value;
-      repair.version = recorded.version;
-      repair.op_id = op_id;
-      const std::uint32_t lane = co_await AcquireLane(p, m, inc, repair.op);
-      if (lane == ~0u) {
-        co_return result;
-      }
-      co_await Call(p, m, lane, t, repair, rec);
+      co_await Call(p, m, inc, t,
+                    {.op = MeshOp::kUpdate, .key = key, .value = recorded.value,
+                     .version = recorded.version, .op_id = op_id},
+                    rec);
       if (node.incarnation != inc) {
         co_return result;
       }
-      ReleaseLane(m, lane);
     }
     ReleaseKey(node, key);
     result.status = MeshStatus::kOk;
@@ -600,38 +555,25 @@ hsim::Task<PutResult> Mesh::ApplyPut(hsim::Processor& p, std::uint32_t m, std::u
     if (t == m) {
       continue;
     }
-    MeshPacket update;
-    update.op = MeshOp::kUpdate;
-    update.key = key;
-    update.value = value;
-    update.version = version;
-    update.op_id = op_id;
+    const MeshPacket update{
+        .op = MeshOp::kUpdate, .key = key, .value = value, .version = version, .op_id = op_id};
     if (first) {
       first = false;
-      const std::uint32_t lane = co_await AcquireLane(p, m, inc, update.op);
-      if (lane == ~0u) {
+      co_await Call(p, m, inc, t, update, rec);
+      if (node.incarnation != inc) {
         co_return result;
       }
-      co_await Call(p, m, lane, t, update, rec);
-      if (node.incarnation != inc) {
-        co_return result;  // lane was reset by Kill; nothing to release
-      }
-      ReleaseLane(m, lane);
     } else {
       // Remaining holders in parallel, each on its own lane.
       ++fan->pending;
       engine_->Spawn([](Mesh* mesh, std::uint32_t src, std::uint64_t my_inc,
                         std::uint32_t dst, MeshPacket pkt,
                         std::shared_ptr<Fanout> state) -> hsim::Task<void> {
-        hsim::Processor& pp = mesh->nodes_[src]->machine->processor(0);
-        const std::uint32_t lane = co_await mesh->AcquireLane(pp, src, my_inc, pkt.op);
-        if (lane != ~0u) {
-          co_await mesh->Call(pp, src, lane, dst, pkt, nullptr);
-        }
-        if (lane == ~0u || mesh->nodes_[src]->incarnation != my_inc) {
+        co_await mesh->Call(mesh->nodes_[src]->machine->processor(0), src, my_inc, dst, pkt,
+                            nullptr);
+        if (mesh->nodes_[src]->incarnation != my_inc) {
           ++state->abandoned;
         } else {
-          mesh->ReleaseLane(src, lane);
           --state->pending;
         }
         state->join.WakeAll(*mesh->engine_);
@@ -681,9 +623,7 @@ hsim::Task<MeshStatus> Mesh::ClientRead(hsim::Processor& p, std::uint32_t m,
       const auto it = node.store.find(key);
       *value = it != node.store.end() ? it->second.value : 0;
       ++node.counters.local_reads;
-      if (served_locally != nullptr) {
-        *served_locally = true;
-      }
+      *served_locally = true;
       co_return MeshStatus::kOk;
     }
     const std::uint32_t dst = ring_.OwnerOf(key);
@@ -693,24 +633,15 @@ hsim::Task<MeshStatus> Mesh::ClientRead(hsim::Processor& p, std::uint32_t m,
       co_await p.Park(node.owner_waiters, config_.net_poll);
       continue;
     }
-    const std::uint32_t lane = co_await AcquireLane(p, m, inc, MeshOp::kGet);
-    if (lane == ~0u) {
-      co_return MeshStatus::kUnavailable;
-    }
-    MeshPacket get;
-    get.op = MeshOp::kGet;
-    get.key = key;
-    const CallOutcome out = co_await Call(p, m, lane, dst, get, rec);
+    const CallOutcome out =
+        co_await Call(p, m, inc, dst, {.op = MeshOp::kGet, .key = key}, rec);
     if (node.incarnation != inc) {
       co_return MeshStatus::kUnavailable;
     }
-    ReleaseLane(m, lane);
     if (out.status == MeshStatus::kOk) {
       *value = out.value;
       ++node.counters.forwarded_reads;
-      if (served_locally != nullptr) {
-        *served_locally = false;
-      }
+      *served_locally = false;
       co_return MeshStatus::kOk;
     }
     // kWrongOwner / kUnavailable: membership moved under us; re-route.
@@ -733,34 +664,19 @@ hsim::Task<MeshStatus> Mesh::ClientWrite(hsim::Processor& p, std::uint32_t m,
       co_await p.Park(node.owner_waiters, config_.net_poll);
       continue;  // own store is syncing; wait for the catch-up round
     }
+    CallOutcome out;
     if (dst == m) {
-      const PutResult r = co_await ApplyPut(p, m, inc, key, value, op_id, rec);
-      if (node.incarnation != inc) {
-        co_return MeshStatus::kUnavailable;
-      }
-      if (r.status == MeshStatus::kOk) {
-        *version = r.version;
-        co_return MeshStatus::kOk;
-      }
+      out = co_await ApplyPut(p, m, inc, key, value, op_id, rec);
     } else {
-      const std::uint32_t lane = co_await AcquireLane(p, m, inc, MeshOp::kPut);
-      if (lane == ~0u) {
-        co_return MeshStatus::kUnavailable;
-      }
-      MeshPacket put;
-      put.op = MeshOp::kPut;
-      put.key = key;
-      put.value = value;
-      put.op_id = op_id;
-      const CallOutcome out = co_await Call(p, m, lane, dst, put, rec);
-      if (node.incarnation != inc) {
-        co_return MeshStatus::kUnavailable;
-      }
-      ReleaseLane(m, lane);
-      if (out.status == MeshStatus::kOk) {
-        *version = out.version;
-        co_return MeshStatus::kOk;
-      }
+      out = co_await Call(p, m, inc, dst,
+                          {.op = MeshOp::kPut, .key = key, .value = value, .op_id = op_id}, rec);
+    }
+    if (node.incarnation != inc) {
+      co_return MeshStatus::kUnavailable;
+    }
+    if (out.status == MeshStatus::kOk) {
+      *version = out.version;
+      co_return MeshStatus::kOk;
     }
     co_await p.BackoffDelay(config_.net_poll);
   }
@@ -834,24 +750,15 @@ hsim::Task<bool> Mesh::PullFrom(hsim::Processor& p, std::uint32_t m, std::uint64
     if (!ring_.Contains(peer)) {
       co_return true;  // peer died mid-sync; its keys are covered by other holders
     }
-    const std::uint32_t lane = co_await AcquireLane(p, m, inc, op);
-    if (lane == ~0u) {
-      co_return false;
-    }
-    MeshPacket pull;
-    pull.op = op;
-    pull.cursor = cursor;
-    const CallOutcome out = co_await Call(p, m, lane, peer, pull, nullptr);
+    const CallOutcome out =
+        co_await Call(p, m, inc, peer, {.op = op, .cursor = cursor}, nullptr);
     if (node.incarnation != inc) {
       co_return false;
     }
-    ReleaseLane(m, lane);
     if (out.status != MeshStatus::kOk || out.sync.empty()) {
       co_return true;
     }
-    Tick service = 0;
     for (const SyncEntry& e : out.sync) {
-      service += config_.sync_entry_service;
       if (op == MeshOp::kSyncPull) {
         Entry& mine = node.store[e.key];
         if (e.version > mine.version) {
@@ -861,15 +768,16 @@ hsim::Task<bool> Mesh::PullFrom(hsim::Processor& p, std::uint32_t m, std::uint64
           ++node.counters.sync_entries_in;
         }
       } else {
-        RecordAppliedOp(node, e.writer_op, e.key, e.value, e.version);
+        RecordAppliedOp(node, e);
         ++node.counters.sync_ops_in;
       }
     }
-    co_await StoreService(p, m, out.sync.back().key, service);
+    co_await StoreService(p, m, out.sync.back().key,
+                          config_.sync_entry_service * out.sync.size());
     if (node.incarnation != inc) {
       co_return false;
     }
-    cursor = (op == MeshOp::kSyncPull ? out.sync.back().key : out.sync.back().writer_op) + 1;
+    cursor = SyncCursor(op, out.sync.back());
   }
 }
 
@@ -884,11 +792,10 @@ hsim::Task<bool> Mesh::PullRound(hsim::Processor& p, std::uint32_t m, std::uint6
     if (peer == m) {
       continue;
     }
-    if (!co_await PullFrom(p, m, inc, peer, MeshOp::kSyncPull)) {
-      co_return false;
-    }
-    if (!co_await PullFrom(p, m, inc, peer, MeshOp::kSyncOps)) {
-      co_return false;
+    for (const MeshOp op : kPullOps) {
+      if (!co_await PullFrom(p, m, inc, peer, op)) {
+        co_return false;
+      }
     }
   }
   co_return true;

@@ -32,8 +32,11 @@
 // kernel avoided the same cycle by ordering resources so an RPC handler never
 // waits on one its caller holds.  Here the order is fixed by the message op:
 // each machine has `lanes` client-class lanes (kGet, kPut) and `lanes`
-// leaf-class lanes (kUpdate, kSyncPull, kSyncOps), AcquireLane picks the pool
-// from the op, and Call asserts the two agree.  The wait-for graph is then
+// leaf-class lanes (kUpdate, kSyncPull, kSyncOps).  A lane is taken and
+// returned only inside Call, which parks for a free lane of its op's class,
+// holds it until the reply is in or the destination fails over, and returns
+// it then; a call fenced by Kill returns none, since Kill refills both pools
+// (ResetLanes).  The wait-for graph is then
 //   client lane -> remote kPut handler -> leaf lane -> remote inline handler
 //   in ServerLoop -> store resource,
 // and the last two never wait for a lane.  So every leaf call finishes, so
@@ -105,7 +108,6 @@ namespace hmesh {
 using hsim::Tick;
 
 enum class MeshOp : std::uint8_t { kGet, kPut, kUpdate, kSyncPull, kSyncOps };
-const char* MeshOpName(MeshOp op);
 
 enum class MeshStatus : std::uint8_t {
   kPending,
@@ -161,6 +163,8 @@ struct MeshConfig {
   std::uint64_t keys() const { return keys_per_machine * machines; }
 };
 
+// One applied write: a store entry with its key (kSyncPull), or an op's
+// dedup record (kSyncOps and the per-node applied-op table).
 struct SyncEntry {
   std::uint64_t key = 0;
   std::uint64_t value = 0;
@@ -187,21 +191,16 @@ struct MeshPacket {
   MeshStatus status = MeshStatus::kPending;
   std::uint64_t flight_id = 0;    // causal parent for the handler-side record
   std::uint64_t flight_send = 0;  // initiator's send instant
-  std::vector<SyncEntry> sync;    // kSyncPull reply batch
+  std::vector<SyncEntry> sync{};  // kSyncPull/kSyncOps reply batch
 };
 
-// Result of one mesh RPC as seen by the initiator.
+// Result of one mesh RPC, or of an owner's local put, as seen by the
+// initiator.
 struct CallOutcome {
   MeshStatus status = MeshStatus::kUnavailable;
   std::uint64_t value = 0;
   std::uint64_t version = 0;
-  std::uint32_t retransmits = 0;
   std::vector<SyncEntry> sync;
-};
-
-struct PutResult {
-  MeshStatus status = MeshStatus::kUnavailable;
-  std::uint64_t version = 0;
 };
 
 class Mesh {
@@ -224,8 +223,9 @@ class Mesh {
   // Stops the server loops; in-flight handler tasks drain first (see
   // Quiescent).
   void Shutdown();
-  // True when no channel is busy, no inbox holds packets, and no write is in
-  // flight -- the point at which Shutdown leaves nothing behind.
+  // True when every lane is back in its pool (so no call is open), no inbox
+  // holds packets, and no write is in flight -- the point at which Shutdown
+  // leaves nothing behind.
   bool Quiescent() const;
 
   // --- fault injection / chaos ----------------------------------------------
@@ -334,16 +334,6 @@ class Mesh {
  private:
   friend struct MeshTestPeer;
 
-  // One applied client op, remembered for put dedup.  Keyed by op id in a
-  // per-node table so a later write to the same key cannot erase the record
-  // (the single writer_op slot in Entry is a per-key convenience, not the
-  // dedup source of truth).
-  struct AppliedOp {
-    std::uint64_t key = 0;
-    std::uint64_t value = 0;
-    std::uint64_t version = 0;
-  };
-
   static constexpr std::uint32_t kLaneClasses = 2;  // client, leaf
 
   struct Node {
@@ -353,7 +343,10 @@ class Mesh {
     NodeState state = NodeState::kUp;
     std::uint64_t incarnation = 1;
     std::map<std::uint64_t, Entry> store;  // ordered: deterministic iteration
-    std::map<std::uint64_t, AppliedOp> applied_ops;  // op id -> dedup record
+    // Put dedup: op id (writer_op) -> the op's apply.  Keyed by op id so a
+    // later write to the same key cannot erase the record (Entry::writer_op
+    // names only the key's last writer).
+    std::map<std::uint64_t, SyncEntry> applied_ops;
     std::deque<std::uint64_t> applied_fifo;          // insertion order: eviction
     std::deque<MeshPacket> inbox;
     std::vector<hsim::DedupWindow<MeshPacket>> windows;  // by sender channel id
@@ -361,7 +354,7 @@ class Mesh {
     std::vector<std::uint32_t> free_lanes[kLaneClasses];  // by lane class
     // Parked waiters (src/hsim/park.h), one queue per condition they wait on.
     hsim::ParkQueue inbox_waiters;                 // idle ServerLoop
-    hsim::ParkQueue lane_waiters[kLaneClasses];    // AcquireLane, by lane class
+    hsim::ParkQueue lane_waiters[kLaneClasses];    // Call's lane wait, by lane class
     std::map<std::uint64_t, hsim::ParkQueue> key_waiters;  // ApplyPut, by busy key
     hsim::ParkQueue owner_waiters;                 // client ops owned by this node
                                                    // while it cannot serve them
@@ -373,16 +366,16 @@ class Mesh {
   // --- transport --------------------------------------------------------------
   void SendPacket(const MeshPacket& packet, Tick now);
   hsim::Task<void> DeliverAfter(MeshPacket packet, Tick delay);
-  hsim::Task<CallOutcome> Call(hsim::Processor& p, std::uint32_t src, std::uint32_t lane,
+  // One exact-once call from machine src, incarnation inc, to dst on a lane
+  // of the op's class, taken and returned here.  A call fenced before it
+  // completes (src's incarnation is no longer inc) returns kUnavailable and
+  // holds no lane; callers tell it from a failover by the incarnation.
+  hsim::Task<CallOutcome> Call(hsim::Processor& p, std::uint32_t src, std::uint64_t inc,
                                std::uint32_t dst, MeshPacket packet,
                                hflight::FlightRecord* rec);
 
   // --- lanes ------------------------------------------------------------------
   std::uint32_t ChannelId(std::uint32_t m, std::uint32_t lane) const;
-  // Waits for a free lane of op's class on machine m; ~0u if m died meanwhile.
-  hsim::Task<std::uint32_t> AcquireLane(hsim::Processor& p, std::uint32_t m,
-                                        std::uint64_t inc, MeshOp op);
-  void ReleaseLane(std::uint32_t m, std::uint32_t lane);
   // Frees every lane of both classes and resets their channels.
   void ResetLanes(std::uint32_t m);
   // Ends a put's hold on `key` and hands it to the next parked writer.
@@ -395,7 +388,12 @@ class Mesh {
   hsim::Task<void> HandleInline(hsim::Processor& p, std::uint32_t m, std::uint64_t inc,
                                 MeshPacket packet);
   hsim::Task<void> HandlePutTask(std::uint32_t m, std::uint64_t inc, MeshPacket packet);
-  void CompleteRequest(Node& node, const MeshPacket& request, MeshPacket reply, Tick now);
+  // Opens the handler-side flight record of a request (null without a
+  // recorder or a traced initiator); CompleteRequest closes it.
+  hflight::FlightRecord* OpenHandlerRecord(std::uint32_t m, const MeshPacket& request,
+                                           Tick now);
+  void CompleteRequest(Node& node, const MeshPacket& request, MeshPacket reply,
+                       hflight::FlightRecord* rec, Tick now);
 
   // --- store ------------------------------------------------------------------
   // Queues at the node's store resource for `service` ticks and touches the
@@ -404,13 +402,12 @@ class Mesh {
                                 Tick service);
   void ApplyEntry(Node& node, std::uint64_t key, std::uint64_t value, std::uint64_t version,
                   std::uint64_t op_id, bool log);
-  // Remembers op_id in the node's dedup table (no-op for op id 0 or an
-  // already-recorded op); evicts the oldest records past dedup_window.
-  void RecordAppliedOp(Node& node, std::uint64_t op_id, std::uint64_t key,
-                       std::uint64_t value, std::uint64_t version);
-  hsim::Task<PutResult> ApplyPut(hsim::Processor& p, std::uint32_t m, std::uint64_t inc,
-                                 std::uint64_t key, std::uint64_t value, std::uint64_t op_id,
-                                 hflight::FlightRecord* rec);
+  // Remembers an applied op in the node's dedup table (no-op for op id 0 or
+  // an already-recorded op); evicts the oldest records past dedup_window.
+  void RecordAppliedOp(Node& node, const SyncEntry& op);
+  hsim::Task<CallOutcome> ApplyPut(hsim::Processor& p, std::uint32_t m, std::uint64_t inc,
+                                   std::uint64_t key, std::uint64_t value,
+                                   std::uint64_t op_id, hflight::FlightRecord* rec);
 
   // --- recovery ---------------------------------------------------------------
   hsim::Task<void> ResyncTask(std::uint32_t m, std::uint64_t inc);
@@ -427,7 +424,6 @@ class Mesh {
   std::uint64_t failovers_ = 0;
   std::uint64_t resyncs_ = 0;
   std::uint64_t stale_replies_ = 0;
-  std::uint64_t discarded_to_down_ = 0;
   bool stopped_ = false;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<hsim::CallSlot<MeshPacket>> channels_;  // machines x 2 x lanes

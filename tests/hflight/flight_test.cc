@@ -138,6 +138,20 @@ TEST(FlightRecorderTest, OpenNeverFailsAndOverwritesOldest) {
   EXPECT_EQ(fr.overwritten_open(), 8u);
 }
 
+TEST(FlightRecorderTest, OpenLegStartsAtTheSendAndExecutesNow) {
+  FlightRecorder fr(FlightConfig{});
+  const FlightRecord* leg = fr.OpenLeg(0, /*send=*/100, /*parent=*/7, /*now=*/400);
+  EXPECT_EQ(leg->parent, 7u);
+  EXPECT_EQ(leg->begin, 100u);  // the inbox phase covers the wire
+  EXPECT_EQ(leg->enqueue, 100u);
+  EXPECT_EQ(leg->start, 400u);
+  EXPECT_EQ(leg->exec, 400u);
+  // A send stamp later than the handler's now is capped at now.
+  const FlightRecord* skewed = fr.OpenLeg(0, /*send=*/900, /*parent=*/7, /*now=*/400);
+  EXPECT_EQ(skewed->begin, 400u);
+  EXPECT_EQ(skewed->enqueue, 400u);
+}
+
 TEST(FlightRecorderTest, CloseFeedsFatesAndHistograms) {
   FlightConfig cfg;
   cfg.clusters = 2;

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -62,10 +63,9 @@ struct ChaosResult {
   std::uint64_t put_dedups = 0;
   Mesh::Timeline timeline;
   std::vector<AckedWrite> acked;
-  // Copied store of every machine for the zero-lost audit.
+  std::vector<AuditViolation> audit;  // AuditAckedWrites on the drained mesh
+  // Copied store of every machine for the possession audit.
   std::vector<std::map<std::uint64_t, Mesh::Entry>> stores;
-  std::map<std::uint64_t, std::vector<std::uint64_t>> ledger;
-  std::vector<std::uint32_t> owners;  // final ring owner per key
   std::vector<std::vector<std::uint32_t>> holders;  // final policy holders per key
   std::vector<std::vector<bool>> holds;  // [m][key] HoldsLocally at the end
 };
@@ -125,13 +125,11 @@ ChaosResult RunChaosCampaign() {
   }
   r.timeline = mesh.timeline(kVictim);
   r.digest = mesh.Digest();
-  r.ledger = mesh.op_versions();
+  r.audit = AuditAckedWrites(mesh, r.acked);
   r.stores.resize(kMachines);
   r.holds.assign(kMachines, std::vector<bool>(mc.keys(), false));
-  r.owners.resize(mc.keys());
   r.holders.resize(mc.keys());
   for (std::uint64_t key = 0; key < mc.keys(); ++key) {
-    r.owners[key] = mesh.ring().OwnerOf(key);
     r.holders[key] = mesh.HoldersOf(key);
     for (std::uint32_t m = 0; m < kMachines; ++m) {
       const Mesh::Entry* e = mesh.Lookup(m, key);
@@ -158,14 +156,10 @@ TEST(MeshChaosTest, KillRecoverCycleMeetsAllGates) {
   EXPECT_EQ(r.failovers, 1u);
   EXPECT_EQ(r.resyncs, 1u);
 
-  // Gate 1: exact-once.  One ledger entry per acked write, at the acked
-  // version.
-  for (const AckedWrite& w : r.acked) {
-    ASSERT_EQ(r.ledger.count(w.op_id), 1u) << "acked op " << w.op_id << " never applied";
-    const auto& versions = r.ledger.at(w.op_id);
-    ASSERT_EQ(versions.size(), 1u)
-        << "op " << w.op_id << " applied at " << versions.size() << " distinct versions";
-    EXPECT_EQ(versions[0], w.version);
+  // Gate 1 (exact-once: one ledger entry per acked write, at the acked
+  // version) and the value half of gate 2 (below).
+  for (const AuditViolation& v : r.audit) {
+    ADD_FAILURE() << v.what;
   }
 
   // Gate 2: zero lost ops.  First, possession: at the end of the campaign
@@ -175,38 +169,20 @@ TEST(MeshChaosTest, KillRecoverCycleMeetsAllGates) {
   // audit: HoldsLocally is false precisely when the store entry is missing,
   // so a replica that silently lost data would otherwise be excluded from
   // the very check meant to catch the loss.
-  for (std::uint64_t key = 0; key < r.owners.size(); ++key) {
+  for (std::uint64_t key = 0; key < r.holders.size(); ++key) {
     for (std::uint32_t m : r.holders[key]) {
       EXPECT_TRUE(r.holds[m][key]) << "holder " << m << " does not serve key " << key;
       EXPECT_EQ(r.stores[m].count(key), 1u) << "holder " << m << " lost key " << key;
     }
   }
-  // Then values: for every written key, its highest acked write is what the
-  // final owner stores, and every policy holder agrees.
-  std::map<std::uint64_t, AckedWrite> newest;
+  // Then values, in the audit above: for every written key, its highest
+  // acked write is what the final owner stores, and every policy holder
+  // agrees.
+  std::set<std::uint64_t> written;
   for (const AckedWrite& w : r.acked) {
-    auto [it, inserted] = newest.emplace(w.key, w);
-    if (!inserted && w.version > it->second.version) {
-      it->second = w;
-    }
+    written.insert(w.key);
   }
-  EXPECT_GT(newest.size(), 10u);  // the campaign actually wrote broadly
-  for (const auto& [key, w] : newest) {
-    const std::uint32_t owner = r.owners[key];
-    const auto it = r.stores[owner].find(key);
-    ASSERT_NE(it, r.stores[owner].end()) << "owner " << owner << " lost key " << key;
-    EXPECT_EQ(it->second.version, w.version) << key;
-    EXPECT_EQ(it->second.value, w.value) << key;
-    for (std::uint32_t m : r.holders[key]) {
-      if (m == owner) {
-        continue;
-      }
-      const auto rit = r.stores[m].find(key);
-      ASSERT_NE(rit, r.stores[m].end()) << "holder " << m << " lost key " << key;
-      EXPECT_EQ(rit->second.version, w.version) << "stale replica on " << m << " key " << key;
-      EXPECT_EQ(rit->second.value, w.value) << key;
-    }
-  }
+  EXPECT_GT(written.size(), 10u);  // the campaign actually wrote broadly
 
   // Gate 3: bounded unavailability.  Failover commits within the detection
   // budget; the rejoined machine is fully re-synced within the sync budget.
