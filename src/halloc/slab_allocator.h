@@ -6,8 +6,7 @@
 // cluster map with an explicit registration table, and callers tell the
 // allocator which cluster each participating thread (or explicit ctx id)
 // belongs to before allocating.  hload registers one generator thread per
-// cluster; the sim's RPC transport registers one ctx per kernel cluster and
-// passes ctx ids explicitly (the engine host is single-threaded).
+// cluster; single-threaded callers may pass explicit ctx ids instead.
 //
 // The arena is sized at construction and never reallocates, so T may be
 // non-movable (request nodes hold std::atomic members) and pointers handed

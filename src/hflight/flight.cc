@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 
-#include "src/halloc/slab_allocator.h"
 #include "src/hprof/lock_site.h"
 
 namespace hflight {
@@ -26,30 +25,12 @@ std::uint64_t SplitMix64(std::uint64_t* state) {
 
 }  // namespace
 
-// One ring per cluster: slot pointers carved from the halloc arena at
-// construction (all of the cluster's slots come from its own per-cluster
-// range, so record storage is homed with the requests that use it) plus a
-// padded claim cursor.  Overwrite-oldest means Open can never fail and never
-// takes the depot path after the initial carve.
+// One ring per cluster: the cluster's records, in place, plus a padded claim
+// cursor.  Overwrite-oldest means Open can never fail and never allocates.
 struct FlightRecorder::Ring {
-  std::vector<FlightRecord*> slots;
+  explicit Ring(std::uint32_t size) : records(size) {}
+  std::vector<FlightRecord> records;
   alignas(64) std::atomic<std::uint64_t> cursor{0};
-};
-
-struct FlightRecorder::Arena {
-  explicit Arena(std::uint32_t clusters, std::uint32_t per_cluster)
-      : pool(clusters, MakeConfig(per_cluster)) {}
-
-  static halloc::SlabConfig MakeConfig(std::uint32_t per_cluster) {
-    halloc::SlabConfig cfg;
-    cfg.objects_per_cluster = per_cluster;
-    // The carve below empties every cluster range exactly once; the
-    // double-alloc tracking has nothing left to catch afterwards.
-    cfg.debug_checks = false;
-    return cfg;
-  }
-
-  halloc::SlabAllocator<FlightRecord> pool;
 };
 
 FlightRecorder::FlightRecorder(const FlightConfig& cfg) : cfg_(cfg) {
@@ -65,21 +46,9 @@ FlightRecorder::FlightRecorder(const FlightConfig& cfg) : cfg_(cfg) {
   rng_state_ = cfg_.seed;
   reservoir_.reserve(cfg_.reservoir_size);
 
-  arena_ = std::make_unique<Arena>(cfg_.clusters, ring_size);
   rings_.reserve(cfg_.clusters);
   for (std::uint32_t c = 0; c < cfg_.clusters; ++c) {
-    arena_->pool.RegisterCtx(c, c);
-  }
-  for (std::uint32_t c = 0; c < cfg_.clusters; ++c) {
-    auto ring = std::make_unique<Ring>();
-    ring->slots.reserve(ring_size);
-    for (std::uint32_t i = 0; i < ring_size; ++i) {
-      FlightRecord* rec = arena_->pool.AllocFor(c);
-      // The arena was sized for exactly clusters * ring_size records, so the
-      // carve cannot exhaust it.
-      ring->slots.push_back(rec);
-    }
-    rings_.push_back(std::move(ring));
+    rings_.push_back(std::make_unique<Ring>(ring_size));
   }
 }
 
@@ -89,7 +58,7 @@ FlightRecord* FlightRecorder::Open(std::uint32_t cluster, std::uint64_t begin_ti
                                    std::uint64_t parent_id) {
   Ring& ring = *rings_[cluster < cfg_.clusters ? cluster : 0];
   const std::uint64_t slot = ring.cursor.fetch_add(1, std::memory_order_relaxed) & ring_mask_;
-  FlightRecord* rec = ring.slots[slot];
+  FlightRecord* rec = &ring.records[slot];
   if (rec->open) {
     overwritten_open_.fetch_add(1, std::memory_order_relaxed);
   }

@@ -1,8 +1,7 @@
 // hflight: always-on per-request flight recorder with tail sampling.
 //
-// Every request carries a FlightRecord -- a fixed-size span context allocated
-// from a per-cluster overwrite-oldest ring (halloc-backed, so record storage
-// is homed at the request's origin cluster and the hot path never allocates).
+// Every request carries a FlightRecord -- a fixed-size span context stored in
+// its origin cluster's overwrite-oldest ring, so the hot path never allocates.
 // The record accumulates a *phase ledger*: raw stamps at the pipeline's
 // boundary events (submit, admission, batch pull, execution, completion,
 // client observation) plus accumulators filled during execution (lock wait
@@ -339,8 +338,6 @@ class FlightRecorder {
 
   FlightConfig cfg_;
   std::uint32_t ring_mask_ = 0;
-  struct Arena;  // halloc-backed record storage
-  std::unique_ptr<Arena> arena_;
   std::vector<std::unique_ptr<Ring>> rings_;
   std::atomic<std::uint64_t> next_id_{0};
   std::atomic<std::uint64_t> opened_{0};

@@ -93,17 +93,6 @@ KernelSystem::KernelSystem(hsim::Machine* machine, const KernelConfig& config)
     pte_words_[p].push_back(&machine->AllocWord(p, 0));
     pte_words_[p].push_back(&machine->AllocWord(p, 0));
   }
-  // Envelope pool for packets in transit.  Sized well above the stop-and-wait
-  // steady state (one outstanding call per processor plus its reply) so only
-  // fault-plan duplicate/delay storms can exhaust it -- and those take the
-  // counted by-value fallback rather than failing.
-  halloc::SlabConfig pkt_cfg;
-  pkt_cfg.objects_per_cluster = 8ull * config_.cluster_size;
-  pkt_cfg.magazine_size = 4;
-  packet_pool_ = std::make_unique<halloc::SlabAllocator<RpcPacket>>(nclusters, pkt_cfg);
-  for (hsim::ProcId p = 0; p < nprocs; ++p) {
-    packet_pool_->RegisterCtx(p, cluster_of_proc(p));
-  }
 }
 
 hsim::Task<void> KernelSystem::ComputeInterruptible(hsim::Processor& p, hsim::Tick cycles) {
@@ -228,8 +217,6 @@ void KernelSystem::AttachLockProfiler(hprof::SiteTable* sites) {
   // serialization point; profile it like any other kernel lock so depot trips
   // show up with per-cluster handoff attribution.
   arena_->set_depot_site(&sites->AddSite("kernel/desc-depot", config_.cluster_size));
-  packet_pool_->set_depot_site(
-      &sites->AddSite("kernel/rpc-packet-depot", config_.cluster_size));
 }
 
 hsim::Task<void> KernelSystem::PageFault(hsim::Processor& p, Program& prog, std::uint64_t page,

@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "src/halloc/slab_allocator.h"
 #include "src/hkernel/config.h"
 #include "src/hkernel/page_table.h"
 #include "src/hkernel/rpc.h"
@@ -110,13 +109,6 @@ class KernelSystem {
   ClusterKernel& cluster(std::uint32_t id) { return *clusters_[id]; }
   DescriptorArena& desc_arena() { return *arena_; }
 
-  // Pool of in-transit RPC packet envelopes (the transport's wire buffers),
-  // clustered like the kernel: an envelope is allocated at the sender's
-  // cluster and freed at the receiver's, so cross-cluster RPC traffic is
-  // exactly the alloc/free drift the slab depot absorbs.  Host-side objects
-  // (the transport itself is host bookkeeping); the engine is single-threaded
-  // so explicit ctx ids stand in for threads.
-  halloc::SlabAllocator<RpcPacket>& packet_pool() { return *packet_pool_; }
   std::uint32_t cluster_of_proc(hsim::ProcId p) const { return p / config_.cluster_size; }
   ClusterKernel& cluster_of(hsim::Processor& p) { return *clusters_[cluster_of_proc(p.id())]; }
   CpuKernel& cpu(hsim::ProcId p) { return *cpus_[p]; }
@@ -210,9 +202,6 @@ class KernelSystem {
     std::uint64_t rpc_dup_requests = 0;  // requests discarded by the dedup window
     std::uint64_t rpc_dup_replies = 0;   // replies discarded as stale/duplicate
     std::uint64_t rpc_retry_storms = 0;  // CallWithRetry watchdog escalations
-    // Packet-envelope pool exhaustion: the transport fell back to a by-value
-    // copy (correct but unpooled).  Nonzero only under fault-plan storms.
-    std::uint64_t rpc_pool_fallbacks = 0;
   };
   const Counters& counters() const { return counters_; }
   Counters& counters() { return counters_; }
@@ -271,7 +260,6 @@ class KernelSystem {
     metrics_->counter("kernel.rpc_dup_requests").Add(counters_.rpc_dup_requests);
     metrics_->counter("kernel.rpc_dup_replies").Add(counters_.rpc_dup_replies);
     metrics_->counter("kernel.rpc_retry_storms").Add(counters_.rpc_retry_storms);
-    metrics_->counter("kernel.rpc_pool_fallbacks").Add(counters_.rpc_pool_fallbacks);
   }
 
  private:
@@ -287,7 +275,6 @@ class KernelSystem {
   KernelConfig config_;
   // Declared before clusters_: every cluster's page table borrows it.
   std::unique_ptr<DescriptorArena> arena_;
-  std::unique_ptr<halloc::SlabAllocator<RpcPacket>> packet_pool_;
   std::vector<std::unique_ptr<ClusterKernel>> clusters_;
   std::vector<std::unique_ptr<CpuKernel>> cpus_;
   std::vector<std::unique_ptr<Program>> programs_;

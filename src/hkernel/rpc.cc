@@ -33,23 +33,10 @@ hflight::Fate FateOf(RpcStatus status) {
 // Transports a packet to the target processor after the interrupt-delivery
 // latency.  Runs as a detached engine task; the packet travels by value, so
 // duplicates and late copies have no lifetime tie to the initiator's frame.
-// Fallback path only: the pooled variant below is the normal wire.
 hsim::Task<void> DeliverAfter(hsim::Engine* engine, hsim::Tick transit, CpuKernel* target,
                               RpcPacket packet) {
   co_await engine->Delay(transit);
   target->Deliver(packet);
-}
-
-// Pooled wire buffer: the envelope was allocated from the packet pool at the
-// sender's cluster and is returned to it at the receiver's, so every
-// cross-cluster packet contributes alloc/free drift to the slab depot exactly
-// as a real wire buffer would migrate between per-node caches.
-hsim::Task<void> DeliverAfterPooled(hsim::Engine* engine, hsim::Tick transit, CpuKernel* target,
-                                    halloc::SlabAllocator<RpcPacket>* pool,
-                                    hsim::ProcId target_proc, RpcPacket* env) {
-  co_await engine->Delay(transit);
-  target->Deliver(*env);
-  pool->FreeFor(target_proc, env);
 }
 
 }  // namespace
@@ -69,24 +56,9 @@ void CpuKernel::SendPacket(hsim::Processor& p, hsim::ProcId target, const RpcPac
   hsim::Machine& machine = system_->machine();
   hsim::Engine& engine = machine.engine();
   CpuKernel& dest = system_->cpu(target);
-  halloc::SlabAllocator<RpcPacket>& pool = system_->packet_pool();
-
-  // Launches one delivery (a duplicate is its own wire buffer): envelope from
-  // the pool (allocated at this processor's cluster, freed at the target's)
-  // or, if the pool is dry under a fault storm, the by-value fallback.
-  const auto launch = [&](hsim::Tick transit) {
-    RpcPacket* env = pool.AllocFor(p.id());
-    if (env != nullptr) {
-      *env = packet;
-      engine.Spawn(DeliverAfterPooled(&engine, transit, &dest, &pool, target, env));
-    } else {
-      ++system_->counters().rpc_pool_fallbacks;
-      engine.Spawn(DeliverAfter(&engine, transit, &dest, packet));
-    }
-  };
-  const hsim::FaultPlan::Decision decision =
-      hsim::RouteSend(machine.fault_plan(), packet, p.id(), target, p.now(),
-                      system_->config().rpc_transit, launch);
+  const hsim::FaultPlan::Decision decision = hsim::RouteSend(
+      machine.fault_plan(), packet, p.id(), target, p.now(), system_->config().rpc_transit,
+      [&](hsim::Tick transit) { engine.Spawn(DeliverAfter(&engine, transit, &dest, packet)); });
   if (machine.trace_enabled(hmetrics::kTraceRpc) && (decision.drop || decision.duplicate)) {
     machine.trace()->Instant(hmetrics::kTraceRpc,
                              decision.drop ? "rpc/fault_drop" : "rpc/fault_dup", p.id(),
@@ -232,10 +204,7 @@ hsim::Task<void> CpuKernel::Call(hsim::Processor& p, hsim::ProcId target, RpcReq
   hflight::FlightRecord* frec = nullptr;
   std::uint64_t call_retransmits = 0;
   if (flight != nullptr) {
-    frec = flight->Open(request->src_cluster, p.now());
-    frec->enqueue = frec->begin;
-    frec->start = frec->begin;
-    frec->exec = frec->begin;
+    frec = flight->OpenLeg(request->src_cluster, p.now(), 0, p.now());
     packet.flight_id = frec->id;
     packet.flight_send = p.now();
   }

@@ -6,11 +6,14 @@
 // V2: abandoned-node reclamation must conserve nodes — at quiescence every
 // node ever allocated sits in the free list exactly once.  A release that
 // reclaims the same node twice is caught eagerly by the pool's double-free
-// check; a node leaked in the queue shows up as pooled < total.
+// check; a node leaked in the queue shows up as pooled < total.  Under a
+// queue kept full by blocking waiters, V2's TryLock must starve.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "src/hcheck/checker.h"
 #include "src/hcheck/platform.h"
@@ -142,6 +145,54 @@ TEST(McsTryHcheck, V2ReclaimWalkPastAbandonedNode) {
   EXPECT_FALSE(res.failed) << res.message << "\n" << res.trace;
   EXPECT_GT(*total_reclaims, 0u)
       << "no explored schedule exercised abandoned-node reclamation";
+}
+
+// The paper's incompatibility result: while blocking waiters keep the queue
+// non-empty, every release hands the lock to a queued waiter, so a true
+// TryLock essentially never finds it free.  Three hogs loop lock/unlock while
+// the main thread makes its attempts.  Fixed-seed random schedules make the
+// counts a function of the seed rather than of the host scheduler.
+TEST(McsTryHcheck, V2TryLockStarvesAgainstSaturatedQueue) {
+  auto successes = std::make_shared<std::uint64_t>(0);
+  auto failures = std::make_shared<std::uint64_t>(0);
+  hcheck::Options opts;
+  opts.random_schedules = 200;
+  opts.seed = 1;
+  // Random mode spends preemptions from the same bound as DFS; the hogs need
+  // many to interleave for the whole run.
+  opts.preemption_bound = 1 << 20;
+  hcheck::Result res = hcheck::Check(opts, [successes, failures] {
+    auto lock = std::make_shared<TryV2>();
+    auto stop = std::make_shared<hcheck::Atomic<bool>>(false);
+    auto ready = std::make_shared<hcheck::Atomic<int>>(0);
+    std::vector<hcheck::Thread> hogs;
+    for (int t = 0; t < 3; ++t) {
+      hogs.push_back(hcheck::Spawn([lock, stop, ready] {
+        ready->fetch_add(1, std::memory_order_relaxed);
+        while (!stop->load(std::memory_order_relaxed)) {
+          lock->lock();
+          lock->unlock();
+        }
+      }));
+    }
+    while (ready->load(std::memory_order_relaxed) != 3) {
+      hcheck::Yield();
+    }
+    for (int i = 0; i < 20; ++i) {
+      if (lock->try_lock()) {
+        ++*successes;
+        lock->unlock();
+      } else {
+        ++*failures;
+      }
+    }
+    stop->store(true, std::memory_order_relaxed);
+    for (hcheck::Thread& h : hogs) {
+      h.Join();
+    }
+  });
+  EXPECT_FALSE(res.failed) << res.message << "\n" << res.trace;
+  EXPECT_GT(*failures, *successes);
 }
 
 }  // namespace

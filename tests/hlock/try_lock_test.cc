@@ -1,7 +1,8 @@
-// Tests for the two TryLock variants (Section 3.2), including the starvation
-// property the paper discovered: a true TryLock against a saturated queue
-// lock essentially never sees the lock free, because releases hand the lock
-// directly to a queued waiter.
+// Tests for the two TryLock variants (Section 3.2).  The starvation property
+// the paper discovered -- a true TryLock against a saturated queue lock
+// essentially never sees the lock free, because releases hand the lock
+// directly to a queued waiter -- depends on the schedule, so it is checked
+// under fixed-seed model schedules in tests/hcheck/mcs_try_hcheck_test.cc.
 
 #include <atomic>
 #include <chrono>
@@ -143,50 +144,6 @@ TEST(McsTryV2, MixedLockAndTryLockStress) {
   }
   // Every successful critical section is accounted for.
   EXPECT_EQ(counter, 2000 + static_cast<std::int64_t>(try_successes.load()));
-}
-
-TEST(McsTryV2, TryLockStarvesAgainstSaturatedQueue) {
-  // The paper's incompatibility result: while blocking waiters keep the queue
-  // non-empty, every release hands the lock to a queued waiter, so TryLock
-  // essentially never finds it free.
-  McsTryV2Lock lock;
-  std::atomic<bool> stop{false};
-  std::atomic<int> ready{0};
-  std::vector<std::thread> hogs;
-  for (int t = 0; t < 3; ++t) {
-    hogs.emplace_back([&] {
-      ready.fetch_add(1);
-      while (!stop.load(std::memory_order_relaxed)) {
-        lock.lock();
-        // Hold briefly; the queue stays occupied because the other hogs
-        // enqueue while we hold.
-        lock.unlock();
-      }
-    });
-  }
-  while (ready.load() != 3) {
-    std::this_thread::yield();
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  std::uint64_t failures = 0;
-  std::uint64_t successes = 0;
-  for (int i = 0; i < 500; ++i) {
-    if (lock.try_lock()) {
-      ++successes;
-      lock.unlock();
-    } else {
-      ++failures;
-    }
-    std::this_thread::yield();
-  }
-  stop = true;
-  for (auto& h : hogs) {
-    h.join();
-  }
-  // Retry-based locking is only probabilistically fair: the vast majority of
-  // attempts must fail.  (On a single-core host the hogs barely overlap, so
-  // keep the bound loose.)
-  EXPECT_GT(failures, successes);
 }
 
 }  // namespace
