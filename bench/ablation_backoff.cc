@@ -11,7 +11,7 @@
 
 #include "src/hmetrics/bench_main.h"
 #include "src/hsim/engine.h"
-#include "src/hsim/locks/spin_lock.h"
+#include "src/hsim/locks/sim_lock.h"
 #include "src/hsim/machine.h"
 #include "src/hsim/stats.h"
 #include "src/hsim/task.h"

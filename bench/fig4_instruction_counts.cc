@@ -21,9 +21,7 @@
 #include "src/hmetrics/bench_main.h"
 #include "src/hsim/engine.h"
 #include "src/hsim/locks/sim_backend.h"
-#include "src/hsim/locks/mcs_lock.h"
-#include "src/hsim/locks/numa_lock.h"
-#include "src/hsim/locks/spin_lock.h"
+#include "src/hsim/locks/sim_lock.h"
 #include "src/hsim/machine.h"
 #include "src/hsim/opstats.h"
 

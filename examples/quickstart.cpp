@@ -43,7 +43,7 @@ int main() {
   }
   printf("1) 4 threads x 10000 increments under McsH2Lock: %ld (expect 40000)\n", counter);
   printf("   queue repairs performed by the swap-only release: %llu\n",
-         static_cast<unsigned long long>(mutex.repairs()));
+         static_cast<unsigned long long>(mutex.core().repairs()));
 
   // --- 2. the hybrid table ----------------------------------------------------
   // One coarse lock protects the whole table but is held only to find the

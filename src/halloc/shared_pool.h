@@ -86,14 +86,12 @@ class SharedPoolCore {
   std::uint64_t frees() const { return frees_; }
   std::uint64_t fails() const { return fails_; }
 
-  void set_lock_site(hprof::LockSiteStats* site) { lock_site_ = site; }
-  hprof::LockSiteStats* lock_site() const { return lock_site_; }
+  void set_lock_site(hprof::LockSiteStats* site) { probe_.set_site(site); }
+  hprof::LockSiteStats* lock_site() const { return probe_.site(); }
 
  private:
   TaskT<void> Lock(Ctx& ctx) {
-    const std::uint64_t wait_start = lock_site_ != nullptr ? b_->Now(ctx) : 0;
-    const std::uint32_t cluster = b_->ClusterOfCtx(b_->CtxId(ctx));
-    bool contended = false;
+    hprof::LockProbe::Wait wait = probe_.Begin(hlock::algo::Caller<B>{b_, ctx});
     std::uint64_t delay = kPollBase;
     while (true) {
       const bool won = co_await b_->CompareSwap(ctx, lock_, 0, 1,
@@ -103,28 +101,15 @@ class SharedPoolCore {
       if (won) {
         break;
       }
-      if (lock_site_ != nullptr && !contended) {
-        lock_site_->EnterQueue(cluster);
-      }
-      contended = true;
+      probe_.Queue(wait, hlock::algo::Caller<B>{b_, ctx});
       co_await b_->BackoffUnits(ctx, delay, delay >= kPollCap);
       delay = delay < kPollCap ? delay * 2 : kPollCap;
     }
-    if (lock_site_ != nullptr) {
-      const std::uint64_t now = b_->Now(ctx);
-      if (contended) {
-        lock_site_->LeaveQueue();
-      }
-      lock_site_->RecordAcquire(b_->CtxId(ctx), now - wait_start, contended,
-                                cluster);
-      hold_start_ = now;
-    }
+    probe_.Grant(wait, hlock::algo::Caller<B>{b_, ctx});
   }
 
   TaskT<void> Unlock(Ctx& ctx) {
-    if (lock_site_ != nullptr) {
-      lock_site_->RecordRelease(b_->Now(ctx) - hold_start_);
-    }
+    probe_.Release(hlock::algo::Caller<B>{b_, ctx});
     co_await b_->Store(ctx, lock_, 0, std::memory_order_release);
     co_await b_->Exec(ctx, 0, 1);
   }
@@ -137,8 +122,7 @@ class SharedPoolCore {
   std::uint64_t allocs_ = 0;
   std::uint64_t frees_ = 0;
   std::uint64_t fails_ = 0;
-  hprof::LockSiteStats* lock_site_ = nullptr;
-  std::uint64_t hold_start_ = 0;
+  hprof::LockProbe probe_;
 };
 
 }  // namespace halloc

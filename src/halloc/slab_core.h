@@ -250,7 +250,7 @@ class SlabAllocatorCore {
       } else {
         // Both magazines empty: depot trip.  Exchange the (empty) loaded
         // magazine for a full one, or carve a fresh slab into it.
-        co_await LockDepot(ctx, cluster);
+        co_await LockDepot(ctx);
         const std::uint64_t full = co_await PopStack(ctx, full_top_);
         if (full != kNil) {
           ++depot_stats_.full_pops;
@@ -317,7 +317,7 @@ class SlabAllocatorCore {
         // Both magazines full: hand the full previous to the depot and take
         // an empty back (always available -- see the invariant in the file
         // comment); the old loaded becomes the new previous.
-        co_await LockDepot(ctx, cluster);
+        co_await LockDepot(ctx);
         ++depot_stats_.full_pushes;
         co_await PushStack(ctx, full_top_, prev);
         const std::uint64_t empty = co_await PopStack(ctx, empty_top_);
@@ -365,8 +365,8 @@ class SlabAllocatorCore {
   // Attaches the depot lock to hprof (null detaches).  Recording is
   // host-side only: a profiled run is operation-identical to an unprofiled
   // one.  Not thread-safe against concurrent allocator users.
-  void set_depot_site(hprof::LockSiteStats* site) { depot_site_ = site; }
-  hprof::LockSiteStats* depot_site() const { return depot_site_; }
+  void set_depot_site(hprof::LockSiteStats* site) { depot_probe_.set_site(site); }
+  hprof::LockSiteStats* depot_site() const { return depot_probe_.site(); }
 
  private:
   // A magazine: a bounded stack of object refs.  `next` chains it into a
@@ -415,9 +415,8 @@ class SlabAllocatorCore {
     co_await b_->Exec(ctx, 0, 1);
   }
 
-  TaskT<void> LockDepot(Ctx& ctx, std::uint32_t cluster) {
-    const std::uint64_t wait_start = depot_site_ != nullptr ? b_->Now(ctx) : 0;
-    bool contended = false;
+  TaskT<void> LockDepot(Ctx& ctx) {
+    hprof::LockProbe::Wait wait = depot_probe_.Begin(hlock::algo::Caller<B>{b_, ctx});
     std::uint64_t delay = kPollBase;
     while (true) {
       const bool won = co_await b_->CompareSwap(ctx, depot_lock_, 0, 1,
@@ -427,28 +426,15 @@ class SlabAllocatorCore {
       if (won) {
         break;
       }
-      if (depot_site_ != nullptr && !contended) {
-        depot_site_->EnterQueue(cluster);
-      }
-      contended = true;
+      depot_probe_.Queue(wait, hlock::algo::Caller<B>{b_, ctx});
       co_await b_->BackoffUnits(ctx, delay, delay >= kPollCap);
       delay = delay < kPollCap ? delay * 2 : kPollCap;
     }
-    if (depot_site_ != nullptr) {
-      const std::uint64_t now = b_->Now(ctx);
-      if (contended) {
-        depot_site_->LeaveQueue();
-      }
-      depot_site_->RecordAcquire(b_->CtxId(ctx), now - wait_start, contended,
-                                 cluster);
-      depot_hold_start_ = now;
-    }
+    depot_probe_.Grant(wait, hlock::algo::Caller<B>{b_, ctx});
   }
 
   TaskT<void> UnlockDepot(Ctx& ctx) {
-    if (depot_site_ != nullptr) {
-      depot_site_->RecordRelease(b_->Now(ctx) - depot_hold_start_);
-    }
+    depot_probe_.Release(hlock::algo::Caller<B>{b_, ctx});
     std::memory_order mo = std::memory_order_release;
     if (broken_ == AllocBroken::kBrokenDepotRelease) {
       // BUG (deliberate, for hcheck): without the release, the stack-top
@@ -559,10 +545,7 @@ class SlabAllocatorCore {
   std::unique_ptr<Word[]> slab_next_;  // per-cluster uncarved-range cursors
   std::vector<CacheStats> cache_stats_;
   DepotStats depot_stats_;
-  hprof::LockSiteStats* depot_site_ = nullptr;
-  // Host-side hold stamp; the depot lock is exclusive, so the single slot is
-  // owner-written.  Touched only when a site is attached.
-  std::uint64_t depot_hold_start_ = 0;
+  hprof::LockProbe depot_probe_;
   std::unique_ptr<std::uint8_t[]> debug_allocated_;
 };
 

@@ -42,13 +42,21 @@ class Mutex {
     return rt->MutexTryLock(*s_);
   }
 
-  void unlock() {
+  // Never throws: unlock runs from std::lock_guard's noexcept destructor, so
+  // an abort raised at its schedule point (a failure elsewhere, the op
+  // budget running out) skips the release and is left to the thread's next
+  // schedule point to unwind.
+  void unlock() noexcept {
     auto* rt = detail::Runtime::Current();
     if (rt == nullptr || rt->aborting()) {
       return;
     }
-    rt->SchedulePoint("mutex.unlock");
-    rt->MutexUnlock(*s_);
+    try {
+      rt->SchedulePoint("mutex.unlock");
+      rt->MutexUnlock(*s_);
+    } catch (const detail::AbortExecution&) {
+      // The execution is aborting; the failure is already recorded.
+    }
   }
 
   detail::MutexState* state() { return s_; }

@@ -4,18 +4,12 @@
 #include <cstdio>
 #include <string>
 
-#include "src/hsim/locks/numa_lock.h"
 #include "src/hsim/locks/reserve_bit.h"
-#include "src/hsim/locks/spin_lock.h"
+#include "src/hsim/locks/sim_lock.h"
 
 namespace hkernel {
 
 using hsim::SimReserve;
-
-std::unique_ptr<hsim::SimLock> MakeCoarseLock(hsim::Machine* machine, hsim::ModuleId module,
-                                              hsim::LockKind kind) {
-  return hsim::MakeSimLock(machine, kind, module);
-}
 
 std::string StormDiagnostic(std::uint32_t machine_id, hsim::ProcId src, hsim::ProcId target,
                             std::uint32_t target_cluster, RpcOp op, int consecutive) {
@@ -37,7 +31,7 @@ ClusterKernel::ClusterKernel(hsim::Machine* machine, const KernelConfig& config,
   // descriptors themselves live in the shared arena, which homes this
   // cluster's ref range at the same module (see KernelSystem's ctor).
   const hsim::ModuleId lock_home = procs_.front();
-  lock_ = MakeCoarseLock(machine, lock_home, config.lock_kind);
+  lock_ = hsim::MakeSimLock(machine, config.lock_kind, lock_home);
   table_ = std::make_unique<PageHashTable>(machine, std::vector<hsim::ModuleId>{lock_home},
                                            config.hash_bins, arena);
 }
@@ -52,7 +46,7 @@ Program::Program(hsim::Machine* machine, const KernelConfig& config, std::uint32
     const std::uint32_t first = c * config.cluster_size;
     const hsim::ModuleId home =
         std::min(first + (id % config.cluster_size), nprocs - 1);
-    replicas_[c].lock = MakeCoarseLock(machine, home, config.lock_kind);
+    replicas_[c].lock = hsim::MakeSimLock(machine, config.lock_kind, home);
     replicas_[c].words[0] = &machine->AllocWord(home, 0);
     replicas_[c].words[1] = &machine->AllocWord(home, 0);
   }

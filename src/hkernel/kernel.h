@@ -288,10 +288,6 @@ class KernelSystem {
   hflight::FlightRecorder* flight_ = nullptr;
 };
 
-// Creates a coarse-grained lock of the configured kind, homed on `module`.
-std::unique_ptr<hsim::SimLock> MakeCoarseLock(hsim::Machine* machine, hsim::ModuleId module,
-                                              hsim::LockKind kind);
-
 // Formats the retry-storm watchdog's diagnostic.  A storm used to be reported
 // as a bare counter bump naming only the op code; in a multi-machine mesh
 // that left "which machine is starving us?" unanswerable from the log.  The

@@ -97,7 +97,7 @@ ProcessManager::ProcessManager(KernelSystem* system, TreePolicy policy,
     // is one, keeping them off the memory-manager heap's module.
     const auto& procs = system_->cluster(c).procs();
     const hsim::ModuleId home = procs.size() > 1 ? procs[1] : procs[0];
-    state->lock = MakeCoarseLock(&machine, home, system_->config().lock_kind);
+    state->lock = hsim::MakeSimLock(&machine, system_->config().lock_kind, home);
     state->table = std::make_unique<ProcessTable>(&machine, home, capacity_per_cluster);
     state->links.reserve(capacity_per_cluster);
     for (std::uint32_t i = 0; i < capacity_per_cluster; ++i) {

@@ -67,16 +67,23 @@
 //   WithPool(f)                runs f under the backend's node-pool guard
 //   AcquireSpan/EndSpan/ReleaseInstant   lock trace hooks (simulator only)
 //
+// Each core meets its backend through one adapter per side: hlock::NativeLock
+// (src/hlock/native_lock.h) natively and under hcheck, hsim::SimCoreLock
+// (src/hsim/locks/sim_lock.h) in the simulator.  Every core records its
+// hprof profile through an hprof::LockProbe fed by algo::Caller (below).
+//
 // Not everything moved onto the layer.  TAS/TTAS/Ticket (spin_locks.h) stay
 // hand-written: TtasSpinLock is the Platform::PoolLock -- the bootstrap lock
 // *beneath* this layer -- and cannot be expressed through it without a cycle.
 // BasicMcsLock keeps its own body (caller-owned nodes + CAS release: the
 // modern-hardware comparison lock, a deliberately different algorithm).
-// McsTryV1 and SpinThenBlockLock stay Platform-templated: their semantics
-// (interrupt re-entry, OS blocking) have no simulator mapping, and they
-// already run under two of the three memories.  Everything the simulator
-// duplicates -- MCS/H1/H2, backoff spin, reserve bits -- plus the new NUMA
-// family lives here.
+// McsTryV1/V2 and SpinThenBlockLock stay hand-written over Platform: their
+// semantics (interrupt re-entry, abandonable try, OS blocking) have no
+// simulator mapping.  The Platform policy itself is not retired by this
+// layer: NativeBackend<Platform> is built on it, and so are lock_free.h,
+// soft_irq_gate.h, hybrid_table.h, hsvc's request_queue.h, halloc's
+// slab_allocator.h, BasicMcsLock and McsTryV1/V2.  Everything the simulator duplicates --
+// MCS/H1/H2, backoff spin, reserve bits -- plus the NUMA family lives here.
 
 #ifndef HLOCK_ALGO_BACKEND_H_
 #define HLOCK_ALGO_BACKEND_H_
@@ -92,6 +99,17 @@ namespace hlock::algo {
 // deadline costs nothing in any backend, so a timed acquire with this budget
 // is operation-for-operation identical to the untimed algorithm.
 inline constexpr std::uint64_t kInfiniteBudget = ~std::uint64_t{0};
+
+// The calling context as a core's hprof::LockProbe reads it: clock, owner id
+// and cluster, all host-side and read only while a site is attached.
+template <class B>
+struct Caller {
+  B* b;
+  typename B::Ctx& ctx;
+  std::uint64_t Now() const { return b->Now(ctx); }
+  std::uint32_t Id() const { return b->CtxId(ctx); }
+  std::uint32_t Cluster() const { return b->ClusterOfCtx(Id()); }
+};
 
 // An already-available value, awaitable without suspending.  The native
 // backend returns these from every operation, so an algorithm coroutine runs

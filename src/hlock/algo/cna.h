@@ -54,6 +54,9 @@ class CnaCore {
   template <typename T>
   using TaskT = typename B::template TaskT<T>;
 
+  // The algorithm reads the cluster map (see NativeLock).
+  static constexpr bool kClustered = true;
+
   static constexpr std::uint64_t kNil = 0;
   // Local handoffs in a row before the secondary queue is force-flushed.
   static constexpr std::uint64_t kDefaultMaxStreak = 64;
@@ -88,22 +91,18 @@ class CnaCore {
     const std::uint64_t me = b_->CtxId(ctx) + 1;
     Node& node = nodes_[me - 1];
     typename B::Span span = b_->AcquireSpan(ctx, name_);
-    const std::uint64_t wait_start = site_ != nullptr ? b_->Now(ctx) : 0;
+    hprof::LockProbe::Wait wait = probe_.Begin(Caller<B>{b_, ctx});
 
     const std::uint64_t pred =
         co_await b_->FetchStore(ctx, tail_, me, std::memory_order_acq_rel);
     co_await b_->Exec(ctx, 1, 2);
     if (pred == kNil) {
-      if (site_ != nullptr) {
-        RecordGrant(ctx, wait_start, /*contended=*/false);
-      }
+      probe_.Grant(wait, Caller<B>{b_, ctx});
       b_->EndSpan(ctx, span);
       co_return;
     }
 
-    if (site_ != nullptr) {
-      site_->EnterQueue(b_->ClusterOfCtx(me - 1));
-    }
+    probe_.Queue(wait, Caller<B>{b_, ctx});
     co_await b_->Store(ctx, nodes_[pred - 1].next, me, std::memory_order_release);
     typename B::SpinWait sw = b_->MakeSpinWait();
     while (true) {
@@ -118,19 +117,14 @@ class CnaCore {
     // Rest-state re-init, absorbed by the write buffer (nobody reads our
     // locked flag until our next contended acquire).
     b_->PostStore(ctx, node.locked, 1);
-    if (site_ != nullptr) {
-      site_->LeaveQueue();
-      RecordGrant(ctx, wait_start, /*contended=*/true);
-    }
+    probe_.Grant(wait, Caller<B>{b_, ctx});
     b_->EndSpan(ctx, span);
   }
 
   TaskT<void> Release(Ctx& ctx) {
     const std::uint64_t me = b_->CtxId(ctx) + 1;
     Node& node = nodes_[me - 1];
-    if (site_ != nullptr) {
-      site_->RecordRelease(b_->Now(ctx) - hold_start_);
-    }
+    probe_.Release(Caller<B>{b_, ctx});
     b_->ReleaseInstant(ctx, name_);
 
     std::uint64_t succ = co_await b_->Load(ctx, node.next, std::memory_order_acquire);
@@ -261,8 +255,8 @@ class CnaCore {
     const bool taken = co_await b_->CompareSwap(ctx, tail_, kNil, me,
                                                 std::memory_order_acq_rel,
                                                 std::memory_order_acquire);
-    if (taken && site_ != nullptr) {
-      RecordGrant(ctx, b_->Now(ctx), /*contended=*/false);
+    if (taken) {
+      probe_.Grab(Caller<B>{b_, ctx});
     }
     co_return taken;
   }
@@ -282,8 +276,8 @@ class CnaCore {
 
   // Attaches a profiling site (null detaches); recording is host-side only,
   // so a profiled run is operation-identical to an unprofiled one.
-  void set_site(hprof::LockSiteStats* site) { site_ = site; }
-  hprof::LockSiteStats* site() const { return site_; }
+  void set_site(hprof::LockSiteStats* site) { probe_.set_site(site); }
+  hprof::LockSiteStats* site() const { return probe_.site(); }
 
  private:
   struct alignas(kCacheLineSize) Node {
@@ -317,13 +311,6 @@ class CnaCore {
     co_await b_->Exec(ctx, 1, 1);
   }
 
-  void RecordGrant(Ctx& ctx, std::uint64_t wait_start, bool contended) {
-    const std::uint64_t now = b_->Now(ctx);
-    const std::uint32_t id = b_->CtxId(ctx);
-    site_->RecordAcquire(id, now - wait_start, contended, b_->ClusterOfCtx(id));
-    hold_start_ = now;
-  }
-
   B* b_;
   std::uint64_t max_streak_;
   bool broken_splice_;
@@ -333,8 +320,7 @@ class CnaCore {
   typename B::Word sec_tail_;  // holder-only: parked remote chain tail, or 0
   typename B::Word streak_;    // holder-only: consecutive local handoffs
   std::unique_ptr<Node[]> nodes_;
-  hprof::LockSiteStats* site_ = nullptr;
-  std::uint64_t hold_start_ = 0;  // owner-written only (protected by the lock)
+  hprof::LockProbe probe_;
 };
 
 }  // namespace hlock::algo

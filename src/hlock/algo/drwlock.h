@@ -77,6 +77,9 @@ class DrwLockCore {
   template <typename T>
   using TaskT = typename B::template TaskT<T>;
 
+  // The algorithm reads the cluster map (see NativeLock).
+  static constexpr bool kClustered = true;
+
   // Doubling-delay poll pacing (backend time units) for waits whose length is
   // another context's hold: the reader's flag wait, the writer's sweep, and
   // the writer-mutex spin.  Fixed-interval polling of a *remote* word keeps
@@ -97,7 +100,7 @@ class DrwLockCore {
         num_clusters_(b->NumClusters()),
         counters_(new PaddedWord[b->NumClusters()]),
         name_("drwlock"),
-        reader_hold_start_(new std::uint64_t[b->NumCtxs()]()) {
+        reader_probes_(new hprof::LockProbe[b->NumCtxs()]) {
     b_->InitWord(wflag_, home, 0);
     b_->InitWord(wmutex_, home, 0);
     for (std::uint32_t c = 0; c < num_clusters_; ++c) {
@@ -110,11 +113,10 @@ class DrwLockCore {
   // --- reader side ----------------------------------------------------------
 
   TaskT<void> AcquireShared(Ctx& ctx) {
-    const std::uint64_t wait_start = reader_site_ != nullptr ? b_->Now(ctx) : 0;
     const std::uint32_t id = b_->CtxId(ctx);
-    const std::uint32_t cluster = b_->ClusterOfCtx(id);
-    Word& counter = counters_[cluster].w;
-    bool contended = false;
+    hprof::LockProbe& probe = reader_probes_[id];
+    hprof::LockProbe::Wait wait = probe.Begin(Caller<B>{b_, ctx});
+    Word& counter = counters_[b_->ClusterOfCtx(id)].w;
     while (true) {
       co_await BumpReader(ctx, counter);
       const std::uint64_t flag =
@@ -132,10 +134,7 @@ class DrwLockCore {
         // reader whose increment we just erased.
         co_await DropReader(ctx, counter, std::memory_order_release);
       }
-      if (reader_site_ != nullptr && !contended) {
-        reader_site_->EnterQueue(cluster);
-      }
-      contended = true;
+      probe.Queue(wait, Caller<B>{b_, ctx});
       std::uint64_t delay = kPollBase;
       while (true) {
         const std::uint64_t f =
@@ -151,22 +150,14 @@ class DrwLockCore {
         delay = delay < kPollCap ? delay * 2 : kPollCap;
       }
     }
-    if (reader_site_ != nullptr) {
-      const std::uint64_t now = b_->Now(ctx);
-      if (contended) {
-        reader_site_->LeaveQueue();
-      }
-      reader_site_->RecordAcquire(id, now - wait_start, contended, cluster);
-      reader_hold_start_[id] = now;
-    }
+    probe.Grant(wait, Caller<B>{b_, ctx});
   }
 
   // No-spin reader entry for handler context: false if a writer holds or is
   // sweeping the lock.
   TaskT<bool> TryAcquireShared(Ctx& ctx) {
     const std::uint32_t id = b_->CtxId(ctx);
-    const std::uint32_t cluster = b_->ClusterOfCtx(id);
-    Word& counter = counters_[cluster].w;
+    Word& counter = counters_[b_->ClusterOfCtx(id)].w;
     co_await BumpReader(ctx, counter);
     const std::uint64_t flag =
         co_await b_->Load(ctx, wflag_, std::memory_order_seq_cst);
@@ -175,29 +166,22 @@ class DrwLockCore {
       co_await DropReader(ctx, counter, std::memory_order_release);
       co_return false;
     }
-    if (reader_site_ != nullptr) {
-      const std::uint64_t now = b_->Now(ctx);
-      reader_site_->RecordAcquire(id, 0, /*contended=*/false, cluster);
-      reader_hold_start_[id] = now;
-    }
+    reader_probes_[id].Grab(Caller<B>{b_, ctx});
     co_return true;
   }
 
   TaskT<void> ReleaseShared(Ctx& ctx) {
     const std::uint32_t id = b_->CtxId(ctx);
-    if (reader_site_ != nullptr) {
-      reader_site_->RecordRelease(b_->Now(ctx) - reader_hold_start_[id]);
-    }
+    reader_probes_[id].Release(Caller<B>{b_, ctx});
     co_await DropReader(ctx, counters_[b_->ClusterOfCtx(id)].w,
                         std::memory_order_release);
   }
 
   // --- writer side ----------------------------------------------------------
 
-  TaskT<void> AcquireExclusive(Ctx& ctx) {
+  TaskT<void> Acquire(Ctx& ctx) {
     typename B::Span span = b_->AcquireSpan(ctx, name_);
-    const std::uint64_t wait_start = writer_site_ != nullptr ? b_->Now(ctx) : 0;
-    bool contended = false;
+    hprof::LockProbe::Wait wait = writer_probe_.Begin(Caller<B>{b_, ctx});
     std::uint64_t delay = kPollBase;
     while (true) {
       const bool won = co_await b_->CompareSwap(ctx, wmutex_, 0, 1,
@@ -207,20 +191,17 @@ class DrwLockCore {
       if (won) {
         break;
       }
-      if (writer_site_ != nullptr && !contended) {
-        writer_site_->EnterQueue(b_->ClusterOfCtx(b_->CtxId(ctx)));
-      }
-      contended = true;
+      writer_probe_.Queue(wait, Caller<B>{b_, ctx});
       co_await b_->BackoffUnits(ctx, delay, delay >= kPollCap);
       delay = delay < kPollCap ? delay * 2 : kPollCap;
     }
-    co_await WriterArriveTimed(ctx, wait_start, contended);
+    co_await WriterArriveTimed(ctx, wait);
     b_->EndSpan(ctx, span);
   }
 
   // No-spin writer entry: false if another writer holds the mutex *or* any
   // reader is in -- the flag is backed out rather than waited on.
-  TaskT<bool> TryAcquireExclusive(Ctx& ctx) {
+  TaskT<bool> TryAcquire(Ctx& ctx) {
     const bool won = co_await b_->CompareSwap(ctx, wmutex_, 0, 1,
                                               std::memory_order_acquire,
                                               std::memory_order_relaxed);
@@ -239,16 +220,12 @@ class DrwLockCore {
         co_return false;
       }
     }
-    if (writer_site_ != nullptr) {
-      RecordWriterGrant(ctx, b_->Now(ctx), /*contended=*/false);
-    }
+    writer_probe_.Grab(Caller<B>{b_, ctx});
     co_return true;
   }
 
-  TaskT<void> ReleaseExclusive(Ctx& ctx) {
-    if (writer_site_ != nullptr) {
-      writer_site_->RecordRelease(b_->Now(ctx) - writer_hold_start_);
-    }
+  TaskT<void> Release(Ctx& ctx) {
+    writer_probe_.Release(Caller<B>{b_, ctx});
     b_->ReleaseInstant(ctx, name_);
     co_await b_->Store(ctx, wflag_, 0, std::memory_order_release);
     co_await b_->Store(ctx, wmutex_, 0, std::memory_order_release);
@@ -261,14 +238,11 @@ class DrwLockCore {
   // *readers*.
 
   TaskT<void> WriterArrive(Ctx& ctx) {
-    const std::uint64_t wait_start = writer_site_ != nullptr ? b_->Now(ctx) : 0;
-    co_await WriterArriveTimed(ctx, wait_start, /*contended=*/false);
+    co_await WriterArriveTimed(ctx, writer_probe_.Begin(Caller<B>{b_, ctx}));
   }
 
   TaskT<void> WriterDepart(Ctx& ctx) {
-    if (writer_site_ != nullptr) {
-      writer_site_->RecordRelease(b_->Now(ctx) - writer_hold_start_);
-    }
+    writer_probe_.Release(Caller<B>{b_, ctx});
     co_await b_->Store(ctx, wflag_, 0, std::memory_order_release);
     co_await b_->Exec(ctx, 0, 1);
   }
@@ -287,24 +261,17 @@ class DrwLockCore {
     if (!won) {
       co_return false;
     }
-    const std::uint64_t wait_start = writer_site_ != nullptr ? b_->Now(ctx) : 0;
-    if (reader_site_ != nullptr) {
-      const std::uint32_t id = b_->CtxId(ctx);
-      reader_site_->RecordRelease(b_->Now(ctx) - reader_hold_start_[id]);
-    }
+    hprof::LockProbe::Wait wait = writer_probe_.Begin(Caller<B>{b_, ctx});
+    reader_probes_[b_->CtxId(ctx)].Release(Caller<B>{b_, ctx});
     co_await b_->Store(ctx, wflag_, 1, std::memory_order_seq_cst);
     // Drop our own read count *after* the flag is up: between the drop and
     // the sweep no new reader can slip in, so the sweep's zero is ours to
     // take exclusively.
     co_await DropReader(ctx, counters_[b_->ClusterOfCtx(b_->CtxId(ctx))].w,
                         std::memory_order_release);
-    if (writer_site_ != nullptr) {
-      writer_site_->EnterQueue(b_->ClusterOfCtx(b_->CtxId(ctx)));
-    }
+    writer_probe_.Queue(wait, Caller<B>{b_, ctx});
     co_await Sweep(ctx);
-    if (writer_site_ != nullptr) {
-      RecordWriterGrant(ctx, wait_start, /*contended=*/true);
-    }
+    writer_probe_.Grant(wait, Caller<B>{b_, ctx});
     co_return true;
   }
 
@@ -313,15 +280,9 @@ class DrwLockCore {
   // arrives next sweeps into our read hold and waits.
   TaskT<void> Downgrade(Ctx& ctx) {
     const std::uint32_t id = b_->CtxId(ctx);
-    if (writer_site_ != nullptr) {
-      writer_site_->RecordRelease(b_->Now(ctx) - writer_hold_start_);
-    }
+    writer_probe_.Release(Caller<B>{b_, ctx});
     co_await BumpReader(ctx, counters_[b_->ClusterOfCtx(id)].w);
-    if (reader_site_ != nullptr) {
-      const std::uint64_t now = b_->Now(ctx);
-      reader_site_->RecordAcquire(id, 0, /*contended=*/false, b_->ClusterOfCtx(id));
-      reader_hold_start_[id] = now;
-    }
+    reader_probes_[id].Grab(Caller<B>{b_, ctx});
     co_await b_->Store(ctx, wflag_, 0, std::memory_order_release);
     co_await b_->Store(ctx, wmutex_, 0, std::memory_order_release);
   }
@@ -332,16 +293,17 @@ class DrwLockCore {
   DrwPreference preference() const { return preference_; }
   const std::string& name() const { return name_; }
 
-  // Attaches reader/writer profiling sites (null detaches; they may differ --
+  // Attach the writer-side and reader-side profiling sites (null detaches;
   // reader holds and writer holds are different histograms).  Recording is
   // host-side only, so a profiled run is operation-identical to an
   // unprofiled one.  Not thread-safe against concurrent lock users.
-  void set_sites(hprof::LockSiteStats* reader_site, hprof::LockSiteStats* writer_site) {
-    reader_site_ = reader_site;
-    writer_site_ = writer_site;
+  void set_site(hprof::LockSiteStats* site) { writer_probe_.set_site(site); }
+  hprof::LockSiteStats* site() const { return writer_probe_.site(); }
+  void set_reader_site(hprof::LockSiteStats* site) {
+    for (std::uint32_t id = 0; id < b_->NumCtxs(); ++id) {
+      reader_probes_[id].set_site(site);
+    }
   }
-  hprof::LockSiteStats* reader_site() const { return reader_site_; }
-  hprof::LockSiteStats* writer_site() const { return writer_site_; }
 
  private:
   // One counter per cluster, each on its own cache line: the whole point is
@@ -420,7 +382,7 @@ class DrwLockCore {
     }
   }
 
-  TaskT<void> WriterArriveTimed(Ctx& ctx, std::uint64_t wait_start, bool contended) {
+  TaskT<void> WriterArriveTimed(Ctx& ctx, hprof::LockProbe::Wait wait) {
     if (preference_ == DrwPreference::kReaders) {
       // Flagless pre-drain: readers arriving now are admitted ahead of us.
       // Only once the population hits zero does the flag go up, so the
@@ -429,19 +391,7 @@ class DrwLockCore {
     }
     co_await b_->Store(ctx, wflag_, 1, std::memory_order_seq_cst);
     co_await Sweep(ctx);
-    if (writer_site_ != nullptr) {
-      RecordWriterGrant(ctx, wait_start, contended);
-    }
-  }
-
-  void RecordWriterGrant(Ctx& ctx, std::uint64_t wait_start, bool contended) {
-    const std::uint64_t now = b_->Now(ctx);
-    const std::uint32_t id = b_->CtxId(ctx);
-    if (contended) {
-      writer_site_->LeaveQueue();
-    }
-    writer_site_->RecordAcquire(id, now - wait_start, contended, b_->ClusterOfCtx(id));
-    writer_hold_start_ = now;
+    writer_probe_.Grant(wait, Caller<B>{b_, ctx});
   }
 
   B* b_;
@@ -452,13 +402,10 @@ class DrwLockCore {
   Word wmutex_;  // writer/writer exclusion for the standalone write path
   std::unique_ptr<PaddedWord[]> counters_;  // per-cluster reader populations
   std::string name_;
-  hprof::LockSiteStats* reader_site_ = nullptr;
-  hprof::LockSiteStats* writer_site_ = nullptr;
-  // Host-side hold timing, touched only when a site is attached.  Readers
-  // hold concurrently, so grant stamps are per-context (each slot written by
-  // its own context); the writer stamp is owner-written under the lock.
-  std::unique_ptr<std::uint64_t[]> reader_hold_start_;
-  std::uint64_t writer_hold_start_ = 0;
+  hprof::LockProbe writer_probe_;
+  // Readers hold concurrently, so each context has its own reader probe
+  // (each written only by its own context).
+  std::unique_ptr<hprof::LockProbe[]> reader_probes_;
 };
 
 }  // namespace hlock::algo

@@ -49,7 +49,7 @@ class FissileCore {
       : b_(b),
         fast_attempts_(fast_attempts == 0 ? 1 : fast_attempts),
         broken_barge_(broken_barge),
-        inner_(b, McsVariant::kOriginal, home),
+        inner_(b, home, McsVariant::kOriginal),
         name_("fissile") {
     b_->InitWord(outer_, home, 0);
   }
@@ -58,7 +58,7 @@ class FissileCore {
 
   TaskT<void> Acquire(Ctx& ctx) {
     typename B::Span span = b_->AcquireSpan(ctx, name_);
-    const std::uint64_t wait_start = site_ != nullptr ? b_->Now(ctx) : 0;
+    hprof::LockProbe::Wait wait = probe_.Begin(Caller<B>{b_, ctx});
 
     // Fast path: a few bare swaps on the outer word.
     typename B::SpinWait sw = b_->MakeSpinWait();
@@ -67,21 +67,18 @@ class FissileCore {
           co_await b_->FetchStore(ctx, outer_, 1, std::memory_order_acquire);
       co_await b_->Exec(ctx, 1, 2);
       if (old == 0) {
-        if (site_ != nullptr) {
-          RecordGrant(ctx, wait_start, /*contended=*/attempt != 0);
-        }
+        probe_.Grant(wait, Caller<B>{b_, ctx});
         b_->EndSpan(ctx, span);
         co_return;
       }
+      wait.contended = true;  // a fast-path retry waits without queueing
       co_await b_->SpinPause(ctx, sw);
     }
 
     // Slow path: queue up, and as queue head spin for the outer word.  The
     // inner lock is released before entering the critical section -- the
     // outer word alone protects the data.
-    if (site_ != nullptr) {
-      site_->EnterQueue(b_->ClusterOfCtx(b_->CtxId(ctx)));
-    }
+    probe_.Queue(wait, Caller<B>{b_, ctx});
     co_await inner_.Acquire(ctx);
     if (!broken_barge_) {
       while (true) {
@@ -97,17 +94,12 @@ class FissileCore {
     // BUG when broken_barge_ (deliberate, for hcheck): skip the outer fight
     // and run concurrently with any fast-path holder.
     co_await inner_.Release(ctx);
-    if (site_ != nullptr) {
-      site_->LeaveQueue();
-      RecordGrant(ctx, wait_start, /*contended=*/true);
-    }
+    probe_.Grant(wait, Caller<B>{b_, ctx});
     b_->EndSpan(ctx, span);
   }
 
   TaskT<void> Release(Ctx& ctx) {
-    if (site_ != nullptr) {
-      site_->RecordRelease(b_->Now(ctx) - hold_start_);
-    }
+    probe_.Release(Caller<B>{b_, ctx});
     b_->ReleaseInstant(ctx, name_);
     co_await b_->Store(ctx, outer_, 0, std::memory_order_release);
     co_await b_->Exec(ctx, 0, 1);
@@ -118,8 +110,8 @@ class FissileCore {
         co_await b_->FetchStore(ctx, outer_, 1, std::memory_order_acquire);
     co_await b_->Exec(ctx, 1, 1);
     const bool taken = old == 0;
-    if (taken && site_ != nullptr) {
-      RecordGrant(ctx, b_->Now(ctx), /*contended=*/false);
+    if (taken) {
+      probe_.Grab(Caller<B>{b_, ctx});
     }
     co_return taken;
   }
@@ -129,25 +121,17 @@ class FissileCore {
 
   // Attaches a profiling site (null detaches); recording is host-side only,
   // so a profiled run is operation-identical to an unprofiled one.
-  void set_site(hprof::LockSiteStats* site) { site_ = site; }
-  hprof::LockSiteStats* site() const { return site_; }
+  void set_site(hprof::LockSiteStats* site) { probe_.set_site(site); }
+  hprof::LockSiteStats* site() const { return probe_.site(); }
 
  private:
-  void RecordGrant(Ctx& ctx, std::uint64_t wait_start, bool contended) {
-    const std::uint64_t now = b_->Now(ctx);
-    const std::uint32_t id = b_->CtxId(ctx);
-    site_->RecordAcquire(id, now - wait_start, contended, b_->ClusterOfCtx(id));
-    hold_start_ = now;
-  }
-
   B* b_;
   std::uint32_t fast_attempts_;
   bool broken_barge_;
   McsCore<B> inner_;
   std::string name_;
   typename B::Word outer_;  // 1 = held; the actual lock
-  hprof::LockSiteStats* site_ = nullptr;
-  std::uint64_t hold_start_ = 0;  // owner-written only (protected by the lock)
+  hprof::LockProbe probe_;
 };
 
 }  // namespace hlock::algo

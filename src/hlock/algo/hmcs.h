@@ -47,6 +47,9 @@ class HmcsTCore {
   using TaskT = typename B::template TaskT<T>;
   using Level = TimeoutMcsCore<B>;
 
+  // The algorithm reads the cluster map (see NativeLock).
+  static constexpr bool kClustered = true;
+
   // Intra-cluster handoffs in a row before the global lock is cycled.
   static constexpr std::uint64_t kDefaultThreshold = 64;
 
@@ -87,7 +90,7 @@ class HmcsTCore {
     const std::uint32_t id = b_->CtxId(ctx);
     const std::uint32_t cluster = b_->ClusterOfCtx(id);
     typename B::Span span = b_->AcquireSpan(ctx, name_);
-    const std::uint64_t wait_start = site_ != nullptr ? b_->Now(ctx) : 0;
+    hprof::LockProbe::Wait wait = probe_.Begin(Caller<B>{b_, ctx});
 
     typename Level::Grant local = co_await locals_[cluster]->Acquire(ctx, deadline);
     if (local.node == 0) {
@@ -98,7 +101,7 @@ class HmcsTCore {
     if (local.token == Level::kGrantedInherit) {
       // The previous same-cluster holder passed the global lock along with
       // the local one: the whole acquire was one intra-cluster handoff.
-      Finish(ctx, wait_start, /*contended=*/true, cluster);
+      Granted(wait, ctx, /*contended=*/true);
       b_->EndSpan(ctx, span);
       co_return true;
     }
@@ -114,25 +117,23 @@ class HmcsTCore {
     }
     global_node_[cluster].value = global.node;
     co_await b_->Store(ctx, streak_[cluster], 0, std::memory_order_relaxed);
-    Finish(ctx, wait_start, local.contended || global.contended, cluster);
+    Granted(wait, ctx, local.contended || global.contended);
     b_->EndSpan(ctx, span);
     co_return true;
   }
 
   // Untimed acquire: an infinite deadline never expires, so this is the
   // plain blocking HMCS algorithm.
-  TaskT<bool> AcquireBlocking(Ctx& ctx) {
+  TaskT<void> Acquire(Ctx& ctx) {
     typename B::Deadline deadline = b_->MakeDeadline(ctx, kInfiniteBudget);
-    co_return co_await Acquire(ctx, deadline);
+    co_await Acquire(ctx, deadline);
   }
 
   TaskT<void> Release(Ctx& ctx) {
     const std::uint32_t id = b_->CtxId(ctx);
     const std::uint32_t cluster = b_->ClusterOfCtx(id);
     std::uint64_t node = local_node_[id].value;
-    if (site_ != nullptr) {
-      site_->RecordRelease(b_->Now(ctx) - hold_start_);
-    }
+    probe_.Release(Caller<B>{b_, ctx});
     b_->ReleaseInstant(ctx, name_);
 
     const std::uint64_t streak =
@@ -165,26 +166,27 @@ class HmcsTCore {
   Level& global_level() { return *global_; }
   Level& local_level(std::uint32_t cluster) { return *locals_[cluster]; }
   std::uint32_t num_levels() const { return static_cast<std::uint32_t>(locals_.size()) + 1; }
+  std::uint64_t abandoned_nodes_reclaimed() const {
+    std::uint64_t n = global_->abandoned_nodes_reclaimed();
+    for (const std::unique_ptr<Level>& level : locals_) {
+      n += level->abandoned_nodes_reclaimed();
+    }
+    return n;
+  }
 
   // Attaches a profiling site (null detaches); recording is host-side only.
   // The wait/contention sample covers the whole two-level acquire; queue
   // residency is recorded as an instantaneous enqueue+leave at grant time
   // (per-level residency belongs to the level locks, not to this composite).
-  void set_site(hprof::LockSiteStats* site) { site_ = site; }
-  hprof::LockSiteStats* site() const { return site_; }
+  void set_site(hprof::LockSiteStats* site) { probe_.set_site(site); }
+  hprof::LockSiteStats* site() const { return probe_.site(); }
 
  private:
-  void Finish(Ctx& ctx, std::uint64_t wait_start, bool contended, std::uint32_t cluster) {
-    if (site_ == nullptr) {
-      return;
-    }
-    const std::uint64_t now = b_->Now(ctx);
+  void Granted(hprof::LockProbe::Wait& wait, Ctx& ctx, bool contended) {
     if (contended) {
-      site_->EnterQueue(cluster);
-      site_->LeaveQueue();
+      probe_.Queue(wait, Caller<B>{b_, ctx});
     }
-    site_->RecordAcquire(b_->CtxId(ctx), now - wait_start, contended, cluster);
-    hold_start_ = now;
+    probe_.Grant(wait, Caller<B>{b_, ctx});
   }
 
   B* b_;
@@ -196,8 +198,7 @@ class HmcsTCore {
   // Host-side handles, carried across handoffs by the grant chain's ordering.
   std::unique_ptr<Padded<std::uint64_t>[]> global_node_;  // per cluster
   std::unique_ptr<Padded<std::uint64_t>[]> local_node_;   // per caller
-  hprof::LockSiteStats* site_ = nullptr;
-  std::uint64_t hold_start_ = 0;  // owner-written only (protected by the lock)
+  hprof::LockProbe probe_;
 };
 
 }  // namespace hlock::algo

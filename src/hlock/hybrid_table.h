@@ -101,22 +101,20 @@ class HybridTable {
   HybridTable& operator=(const HybridTable&) = delete;
 
   // Exclusive ownership of one entry.  Movable; releases on destruction.
-  // Each guard carries its own grant timestamp: many entries are reserved
-  // concurrently, so hold timing cannot live in the (shared) profiling site.
+  // Each guard carries its own probe: many entries are reserved
+  // concurrently, so hold timing cannot live in the table's.
   class ExclusiveGuard {
    public:
     ExclusiveGuard() = default;
     ExclusiveGuard(ExclusiveGuard&& other) noexcept
         : table_(std::exchange(other.table_, nullptr)),
           entry_(std::exchange(other.entry_, nullptr)),
-          site_(std::exchange(other.site_, nullptr)),
-          hold_start_(other.hold_start_) {}
+          probe_(other.probe_) {}
     ExclusiveGuard& operator=(ExclusiveGuard&& other) noexcept {
       Release();
       table_ = std::exchange(other.table_, nullptr);
       entry_ = std::exchange(other.entry_, nullptr);
-      site_ = std::exchange(other.site_, nullptr);
-      hold_start_ = other.hold_start_;
+      probe_ = other.probe_;
       return *this;
     }
     ~ExclusiveGuard() { Release(); }
@@ -129,12 +127,9 @@ class HybridTable {
     // Releases the reservation early.
     void Release() {
       if (entry_ != nullptr) {
-        if (site_ != nullptr) {
-          site_->RecordRelease(hprof::LockSiteStats::NowTicks() - hold_start_);
-          site_ = nullptr;
-        }
-        // Exclusive clear needs no lock and no read-modify-write.
         typename Backend::Ctx ctx{Platform::ThreadId()};
+        probe_.Release(algo::Caller<Backend>{&table_->backend_, ctx});
+        // Exclusive clear needs no lock and no read-modify-write.
         Reserve::ClearExclusive(table_->backend_, ctx, entry_->reserve).Get();
         entry_ = nullptr;
         table_ = nullptr;
@@ -147,8 +142,7 @@ class HybridTable {
         : table_(table), entry_(entry) {}
     HybridTable* table_ = nullptr;
     typename HybridTable::Entry* entry_ = nullptr;
-    hprof::LockSiteStats* site_ = nullptr;
-    std::uint64_t hold_start_ = 0;
+    hprof::LockProbe probe_;
   };
 
   // Shared (reader) hold of one entry.
@@ -201,10 +195,9 @@ class HybridTable {
   // Exclusively reserves the entry for `key`, creating it (default V) if
   // absent.  Spins (coarse lock dropped) while the entry is reserved.
   ExclusiveGuard Acquire(const K& key) {
-    const std::uint64_t t0 =
-        reserve_site_ != nullptr ? hprof::LockSiteStats::NowTicks() : 0;
-    bool contended = false;
     typename Backend::Ctx ctx{Platform::ThreadId()};
+    const algo::Caller<Backend> caller{&backend_, ctx};
+    hprof::LockProbe::Wait wait = reserve_probe_.Begin(caller);
     typename Reserve::Backoff bo;  // one logical acquire, one doubling delay
     while (true) {
       Entry* wait_target = nullptr;
@@ -215,17 +208,14 @@ class HybridTable {
           entry = InsertGuarded(ctx, key);
         }
         if (Reserve::TrySetExclusiveAtomic(backend_, ctx, entry->reserve).Get()) {
-          return GrantExclusive(entry, t0, contended);
+          return GrantExclusive(entry, caller, &wait);
         }
         wait_target = entry;
       }
       // Reserved by someone else: spin outside the coarse lock, then retry
       // the search (the entry may have been erased and recycled meanwhile;
       // type-stable memory keeps the spin safe).
-      if (reserve_site_ != nullptr && !contended) {
-        reserve_site_->EnterQueue(backend_.ClusterOfCtx(backend_.CtxId(ctx)));
-      }
-      contended = true;
+      reserve_probe_.Queue(wait, caller);
       Reserve::SpinUntilFree(backend_, ctx, wait_target->reserve, kMaxBackoff, bo).Get();
     }
   }
@@ -242,7 +232,7 @@ class HybridTable {
     if (!Reserve::TrySetExclusiveAtomic(backend_, ctx, entry->reserve).Get()) {
       return ExclusiveGuard();
     }
-    return GrantExclusive(entry, /*wait_start=*/0, /*contended=*/false);
+    return GrantExclusive(entry, algo::Caller<Backend>{&backend_, ctx}, /*wait=*/nullptr);
   }
 
   // Shared (reader) reserve; spins while exclusively reserved.
@@ -400,13 +390,14 @@ class HybridTable {
   // host nanoseconds).  Shared (reader) reserve holds are not recorded --
   // they are plain counter bumps with no meaningful wait or exclusivity.
   // The coarse lock can be profiled separately via coarse_lock().set_site().
-  void set_reserve_site(hprof::LockSiteStats* site) { reserve_site_ = site; }
+  void set_reserve_site(hprof::LockSiteStats* site) { reserve_probe_.set_site(site); }
 
   // Attaches reader/writer sites to the table-level distributed RW lock
   // (reader holds = chain walks; writer holds = chain-mutation sweeps), with
   // per-cluster enqueue attribution.  Null detaches.
   void set_chain_sites(hprof::LockSiteStats* reader_site, hprof::LockSiteStats* writer_site) {
-    chain_drw_.set_sites(reader_site, writer_site);
+    chain_drw_.set_reader_site(reader_site);
+    chain_drw_.set_site(writer_site);
   }
 
   // Test-only: reverts the reader exit to a plain (non-CAS) decrement while
@@ -422,20 +413,17 @@ class HybridTable {
     Entry* next = nullptr;
   };
 
-  // Builds a granted guard, recording the acquisition when profiled.
-  // `wait_start` == 0 means "no wait was timed" (TryAcquire's instant grab).
-  ExclusiveGuard GrantExclusive(Entry* entry, std::uint64_t wait_start, bool contended) {
+  // Builds a granted guard with its own copy of the reserve probe, which
+  // records the acquisition when profiled.  A null `wait` is TryAcquire's
+  // instant grab.
+  ExclusiveGuard GrantExclusive(Entry* entry, const algo::Caller<Backend>& caller,
+                                const hprof::LockProbe::Wait* wait) {
     ExclusiveGuard guard(this, entry);
-    if (reserve_site_ != nullptr) {
-      const std::uint64_t now = hprof::LockSiteStats::NowTicks();
-      if (contended) {
-        reserve_site_->LeaveQueue();
-      }
-      const std::uint32_t id = Platform::ThreadId();
-      reserve_site_->RecordAcquire(id, wait_start != 0 ? now - wait_start : 0, contended,
-                                   backend_.ClusterOfCtx(id));
-      guard.site_ = reserve_site_;
-      guard.hold_start_ = now;
+    guard.probe_ = reserve_probe_;
+    if (wait != nullptr) {
+      guard.probe_.Grant(*wait, caller);
+    } else {
+      guard.probe_.Grab(caller);
     }
     return guard;
   }
@@ -487,7 +475,7 @@ class HybridTable {
   Drw chain_drw_;  // table-level distributed RW lock over the chains
   ReadPath read_path_;
   bool racy_reader_exit_ = false;  // test-only bug knob (see setter)
-  hprof::LockSiteStats* reserve_site_ = nullptr;
+  hprof::LockProbe reserve_probe_;  // copied into each granted guard
   std::vector<Entry*> buckets_;
   std::deque<Entry> pool_;  // type-stable entry storage
   Entry* free_list_ = nullptr;

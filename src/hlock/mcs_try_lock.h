@@ -28,6 +28,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 
 #include "src/hlock/padded.h"
@@ -61,7 +62,7 @@ class BasicMcsTryV1Lock {
                     "McsTryV1Lock::lock re-entered while this thread's node is in "
                     "use; interrupt contexts must use LockFromInterrupt");
     node.in_use.store(true, std::memory_order_relaxed);  // common-path cost
-    ProfiledEnqueue(node);
+    Enqueue(node);
   }
 
   // Interrupt-safe acquire: fails only when this thread's node is already in
@@ -74,21 +75,19 @@ class BasicMcsTryV1Lock {
                                              std::memory_order_relaxed)) {
       return false;
     }
-    ProfiledEnqueue(node);
+    Enqueue(node);
     return true;
   }
 
   // Attaches a profiling site (null detaches); wait/hold samples are host
   // nanoseconds.  Not thread-safe against concurrent lock users.
-  void set_site(hprof::LockSiteStats* site) { site_ = site; }
+  void set_site(hprof::LockSiteStats* site) { probe_.set_site(site); }
 
   void unlock() {
     QNode& node = *nodes_[Platform::ThreadId()];
     Platform::Check(node.in_use.load(std::memory_order_relaxed),
                     "McsTryV1Lock::unlock without a matching lock on this thread");
-    if (site_ != nullptr) {
-      site_->RecordRelease(hprof::LockSiteStats::NowTicks() - hold_start_);
-    }
+    probe_.Release(Caller{});
     QNode* succ = node.next.load(std::memory_order_acquire);
     if (succ == nullptr) {
       QNode* expected = &node;
@@ -117,41 +116,26 @@ class BasicMcsTryV1Lock {
     typename Platform::template Atomic<bool> in_use{false};
   };
 
-  // Returns true when the lock was free (no predecessor).
-  bool Enqueue(QNode& node) {
-    QNode* pred = tail_.exchange(&node, std::memory_order_acq_rel);
-    if (pred == nullptr) {
-      return true;
-    }
-    if (site_ != nullptr) {
-      site_->EnterQueue();
-    }
-    pred->next.store(&node, std::memory_order_release);
-    typename Platform::Backoff backoff;
-    while (node.locked.load(std::memory_order_acquire)) {
-      backoff.Pause();
-    }
-    node.locked.store(true, std::memory_order_relaxed);
-    if (site_ != nullptr) {
-      site_->LeaveQueue();
-    }
-    return false;
-  }
+  using Caller = hprof::HostCaller<&Platform::ThreadId>;
 
-  void ProfiledEnqueue(QNode& node) {
-    const std::uint64_t t0 =
-        site_ != nullptr ? hprof::LockSiteStats::NowTicks() : 0;
-    const bool immediate = Enqueue(node);
-    if (site_ != nullptr) {
-      const std::uint64_t now = hprof::LockSiteStats::NowTicks();
-      site_->RecordAcquire(Platform::ThreadId(), now - t0, !immediate);
-      hold_start_ = now;
+  // Enqueues and waits for the grant.
+  void Enqueue(QNode& node) {
+    hprof::LockProbe::Wait wait = probe_.Begin(Caller{});
+    QNode* pred = tail_.exchange(&node, std::memory_order_acq_rel);
+    if (pred != nullptr) {
+      probe_.Queue(wait, Caller{});
+      pred->next.store(&node, std::memory_order_release);
+      typename Platform::Backoff backoff;
+      while (node.locked.load(std::memory_order_acquire)) {
+        backoff.Pause();
+      }
+      node.locked.store(true, std::memory_order_relaxed);
     }
+    probe_.Grant(wait, Caller{});
   }
 
   typename Platform::template Atomic<QNode*> tail_{nullptr};
-  hprof::LockSiteStats* site_ = nullptr;
-  std::uint64_t hold_start_ = 0;  // owner-written only (protected by the lock)
+  hprof::LockProbe probe_;
   Padded<QNode> nodes_[Platform::kMaxThreads];
 };
 
@@ -284,8 +268,11 @@ class BasicMcsTryV2Lock {
         return node;
       }
     }
-    Node* node = new Node;
+    // Owned until linked into the allocation chain: an hcheck abort thrown
+    // by the guard's lock must not leak it.
+    auto fresh = std::make_unique<Node>();
     std::lock_guard<typename Platform::PoolLock> guard(pool_lock_);
+    Node* node = fresh.release();
     node->all_next = all_nodes_;
     all_nodes_ = node;
     ++total_nodes_;

@@ -14,14 +14,11 @@
 #include <atomic>
 #include <cstdint>
 
-#include "src/hlock/algo/native_backend.h"
 #include "src/hlock/algo/spin.h"
 #include "src/hlock/backoff.h"
 #include "src/hlock/bootstrap_locks.h"
+#include "src/hlock/native_lock.h"
 #include "src/hlock/padded.h"
-#include "src/hlock/platform.h"
-#include "src/hlock/thread_id.h"
-#include "src/hprof/lock_site.h"
 
 namespace hlock {
 
@@ -31,37 +28,13 @@ namespace hlock {
 // large cap is gentle on the memory system but invites starvation.
 //
 // The algorithm body lives in src/hlock/algo/spin.h, shared with the
-// simulator; this adapter binds it to the native backend (the release is an
-// exchange there too -- HECTOR fidelity the simulator requires and the native
-// lock tolerates).
-class BackoffSpinLock {
+// simulator (the release is an exchange there too -- HECTOR fidelity the
+// simulator requires and the native lock tolerates).  Constructed as
+// (max_backoff_spins), default 1024.  A named type rather than an alias, so
+// diagnostics and typed-test names read BackoffSpinLock.
+class BackoffSpinLock : public NativeLock<algo::SpinCore> {
  public:
-  explicit BackoffSpinLock(std::uint32_t max_backoff_spins = 1024)
-      : core_(&backend_, /*home=*/0, max_backoff_spins) {}
-
-  void lock() {
-    Backend::Ctx ctx{CurrentThreadId()};
-    core_.Acquire(ctx).Get();
-  }
-
-  bool try_lock() {
-    Backend::Ctx ctx{CurrentThreadId()};
-    return core_.TryAcquire(ctx).Get();
-  }
-
-  void unlock() {
-    Backend::Ctx ctx{CurrentThreadId()};
-    core_.Release(ctx).Get();
-  }
-
-  // Attaches a profiling site (null detaches); wait/hold samples are host
-  // nanoseconds.  Not thread-safe against concurrent lock users.
-  void set_site(hprof::LockSiteStats* site) { core_.set_site(site); }
-
- private:
-  using Backend = algo::NativeBackend<StdPlatform>;
-  Backend backend_;
-  algo::SpinCore<Backend> core_;
+  using NativeLock::NativeLock;
 };
 
 // Ticket lock: FIFO-fair like a Distributed Lock, but all waiters spin on the

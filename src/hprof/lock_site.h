@@ -299,6 +299,102 @@ class LockSiteStats {
   std::atomic<std::uint32_t> max_queue_depth_{0};
 };
 
+// A lock's profiling hook: the site it reports to (null = detached) and the
+// grant time of the current hold.  Every profiled lock records through one,
+// so each records the same events in the same order: Begin when the acquire
+// starts, Queue when it first has to wait, Grant once it holds the lock (Grab
+// for an instant try-acquire), Release at unlock.  Locks whose holds overlap
+// (reader sides, reserve guards) keep one probe per holder.
+//
+// A `Caller` describes the acquirer: Now() in ticks (simulated time for the
+// simulator cores, host nanoseconds natively), Id() the owner id, and
+// optionally Cluster() -- without it the site derives the cluster from the id
+// and queue entries are not counted per cluster.  A detached probe calls none
+// of them, so an unprofiled lock reads no clock; a simulated read is a free
+// host-side call, so a profiled run is tick-identical to an unprofiled one.
+class LockProbe {
+ public:
+  // One acquire attempt's wait, on the acquirer's stack.
+  struct Wait {
+    std::uint64_t start = 0;
+    bool queued = false;     // EnterQueue recorded; Grant owes the LeaveQueue
+    bool contended = false;  // set by Queue; a lock whose acquirer can wait
+                             // without queueing (Fissile's fast-path retries)
+                             // sets it directly
+  };
+
+  void set_site(LockSiteStats* site) { site_ = site; }
+  LockSiteStats* site() const { return site_; }
+
+  template <class Caller>
+  Wait Begin(const Caller& c) const {
+    return Wait{site_ != nullptr ? c.Now() : 0};
+  }
+
+  // The acquirer has to wait; counted into the queue depth once per attempt.
+  template <class Caller>
+  void Queue(Wait& w, const Caller& c) {
+    if (site_ != nullptr && !w.queued) {
+      if constexpr (requires { c.Cluster(); }) {
+        site_->EnterQueue(c.Cluster());
+      } else {
+        site_->EnterQueue();
+      }
+      w.queued = true;
+    }
+    w.contended = true;
+  }
+
+  // The acquirer holds the lock: records its wait and starts the hold.
+  template <class Caller>
+  void Grant(const Wait& w, const Caller& c) {
+    if (site_ != nullptr) {
+      const std::uint64_t now = c.Now();
+      if (w.queued) {
+        site_->LeaveQueue();
+      }
+      Record(c, now - w.start, w.contended);
+      hold_start_ = now;
+    }
+  }
+
+  // An instant, uncontended grab (a successful try-acquire): no wait.
+  template <class Caller>
+  void Grab(const Caller& c) {
+    if (site_ != nullptr) {
+      hold_start_ = c.Now();
+      Record(c, 0, /*contended=*/false);
+    }
+  }
+
+  template <class Caller>
+  void Release(const Caller& c) {
+    if (site_ != nullptr) {
+      site_->RecordRelease(c.Now() - hold_start_);
+    }
+  }
+
+ private:
+  template <class Caller>
+  void Record(const Caller& c, std::uint64_t wait, bool contended) {
+    if constexpr (requires { c.Cluster(); }) {
+      site_->RecordAcquire(c.Id(), wait, contended, c.Cluster());
+    } else {
+      site_->RecordAcquire(c.Id(), wait, contended);
+    }
+  }
+
+  LockSiteStats* site_ = nullptr;
+  std::uint64_t hold_start_ = 0;  // holder-written only
+};
+
+// Caller for the hand-written native locks: host clock, owner id from `kId`.
+template <std::uint32_t (*kId)()>
+struct HostCaller {
+  static std::uint64_t Now() { return LockSiteStats::NowTicks(); }
+  static std::uint32_t Id() { return kId(); }
+};
+
 // The profiling session: a named collection of lock sites with stable
 // addresses (locks cache the LockSiteStats* they are handed).  Exported as a
 // hurricane-lockprof/1 JSON document, the input format of the hprof CLI.

@@ -56,9 +56,15 @@ class DedupWindow {
     return Admission::kFresh;
   }
 
+  // Completions can land out of order (a slow handler for n finishing after
+  // n+1 was admitted); an older one neither moves the mark back nor replaces
+  // the newer cached reply, so a retransmit of n+1 still gets its reply.
   void Complete(std::uint64_t seq, Packet reply) {
     if (in_progress_ == seq) {
       in_progress_ = 0;
+    }
+    if (seq <= last_completed_) {
+      return;
     }
     last_completed_ = seq;
     cached_reply_ = std::move(reply);

@@ -1,4 +1,5 @@
-#include "src/hsim/locks/mcs_lock.h"
+// LockKindName.  (The lock adapters themselves are header-only: see
+// sim_lock.h.)
 
 #include "src/hsim/locks/sim_lock.h"
 

@@ -1,19 +1,29 @@
-#include "src/hsim/locks/numa_lock.h"
+// MakeSimLock, the factory over LockKind.
 
 #include <memory>
+#include <string>
 
-#include "src/hsim/locks/mcs_lock.h"
-#include "src/hsim/locks/spin_lock.h"
+#include "src/hsim/locks/sim_lock.h"
 #include "src/hsim/types.h"
 
 namespace hsim {
 
+namespace {
+
+std::unique_ptr<SimLock> MakeSpinLock(Machine* machine, ModuleId home, Tick max_backoff) {
+  return std::make_unique<SimSpinLock>(
+      machine, home, max_backoff,
+      "spin(backoff<=" + std::to_string(TicksToUs(max_backoff)) + "us)");
+}
+
+}  // namespace
+
 std::unique_ptr<SimLock> MakeSimLock(Machine* machine, LockKind kind, ModuleId home) {
   switch (kind) {
     case LockKind::kSpin35us:
-      return std::make_unique<SimSpinLock>(machine, home, UsToTicks(35));
+      return MakeSpinLock(machine, home, UsToTicks(35));
     case LockKind::kSpin2ms:
-      return std::make_unique<SimSpinLock>(machine, home, UsToTicks(2000));
+      return MakeSpinLock(machine, home, UsToTicks(2000));
     case LockKind::kMcs:
       return std::make_unique<SimMcsLock>(machine, home, McsVariant::kOriginal);
     case LockKind::kMcsH1:

@@ -6,9 +6,7 @@
 #include <vector>
 
 #include "src/hsim/engine.h"
-#include "src/hsim/locks/mcs_lock.h"
-#include "src/hsim/locks/numa_lock.h"
-#include "src/hsim/locks/spin_lock.h"
+#include "src/hsim/locks/sim_lock.h"
 #include "src/hsim/machine.h"
 #include "src/hsim/task.h"
 
@@ -74,10 +72,10 @@ LockStressResult RunLockStress(const LockStressParams& params) {
   result.processors = params.processors;
   result.window = params.duration;
   if (auto* spin = dynamic_cast<SimSpinLock*>(lock.get())) {
-    result.spin_retries = spin->retries();
+    result.spin_retries = spin->core().retries();
   }
   if (auto* mcs = dynamic_cast<SimMcsLock*>(lock.get())) {
-    result.mcs_repairs = mcs->repairs();
+    result.mcs_repairs = mcs->core().repairs();
   }
   const Tick end = engine.now();
   result.lock_module_utilization =

@@ -63,8 +63,8 @@ TEST(DrwLockHcheck, ReadersOnDifferentClustersCoexist) {
     core->ReleaseShared(ctx).Get();
     t.Join();
     // Quiescence: all counters drained, a writer gets in cleanly.
-    HCHECK_ASSERT(core->TryAcquireExclusive(ctx).Get());
-    core->ReleaseExclusive(ctx).Get();
+    HCHECK_ASSERT(core->TryAcquire(ctx).Get());
+    core->Release(ctx).Get();
   });
   EXPECT_FALSE(res.failed) << res.message << "\n" << res.trace;
 }
@@ -72,7 +72,7 @@ TEST(DrwLockHcheck, ReadersOnDifferentClustersCoexist) {
 // A writer never overlaps a reader (or another writer).  Readers count
 // themselves inside their hold; the writer asserts the population is zero for
 // the whole exclusive section.  The no-spin entries must also tell the truth:
-// TryAcquireExclusive fails while a reader is in (and backs the flag out),
+// TryAcquire fails while a reader is in (and backs the flag out),
 // TryAcquireShared fails while the writer is in.
 TEST(DrwLockHcheck, WriterExcludesReaders) {
   hcheck::Options opts;
@@ -88,7 +88,7 @@ TEST(DrwLockHcheck, WriterExcludesReaders) {
       readers_in->fetch_add(1, std::memory_order_relaxed);
       HCHECK_ASSERT(writer_in->load(std::memory_order_relaxed) == 0);
       // While we hold shared, an exclusive try must fail and back out.
-      HCHECK_ASSERT(!core->TryAcquireExclusive(ctx).Get());
+      HCHECK_ASSERT(!core->TryAcquire(ctx).Get());
       hcheck::Yield();
       HCHECK_ASSERT(writer_in->load(std::memory_order_relaxed) == 0);
       readers_in->fetch_sub(1, std::memory_order_relaxed);
@@ -97,7 +97,7 @@ TEST(DrwLockHcheck, WriterExcludesReaders) {
     hcheck::Thread a = hcheck::Spawn(reader);  // id 1: cluster 1
     hcheck::Thread b = hcheck::Spawn(reader);  // id 2: cluster 2
     auto ctx = Self();  // id 0: cluster 0
-    core->AcquireExclusive(ctx).Get();
+    core->Acquire(ctx).Get();
     HCHECK_ASSERT(readers_in->load(std::memory_order_relaxed) == 0);
     writer_in->store(1, std::memory_order_relaxed);
     // While the writer holds, the no-spin reader entry must fail.
@@ -105,11 +105,11 @@ TEST(DrwLockHcheck, WriterExcludesReaders) {
     hcheck::Yield();
     HCHECK_ASSERT(readers_in->load(std::memory_order_relaxed) == 0);
     writer_in->store(0, std::memory_order_relaxed);
-    core->ReleaseExclusive(ctx).Get();
+    core->Release(ctx).Get();
     a.Join();
     b.Join();
-    HCHECK_ASSERT(core->TryAcquireExclusive(ctx).Get());
-    core->ReleaseExclusive(ctx).Get();
+    HCHECK_ASSERT(core->TryAcquire(ctx).Get());
+    core->Release(ctx).Get();
   });
   EXPECT_FALSE(res.failed) << res.message << "\n" << res.trace;
 }
@@ -134,11 +134,11 @@ TEST(DrwLockHcheck, WriterExcludesReadersUnderReaderPreference) {
       core->ReleaseShared(ctx).Get();
     });
     auto ctx = Self();
-    core->AcquireExclusive(ctx).Get();
+    core->Acquire(ctx).Get();
     HCHECK_ASSERT(readers_in->load(std::memory_order_relaxed) == 0);
     hcheck::Yield();
     HCHECK_ASSERT(readers_in->load(std::memory_order_relaxed) == 0);
-    core->ReleaseExclusive(ctx).Get();
+    core->Release(ctx).Get();
     t.Join();
   });
   EXPECT_FALSE(res.failed) << res.message << "\n" << res.trace;
@@ -155,18 +155,18 @@ TEST(DrwLockHcheck, WritersExcludeEachOther) {
     auto mx = std::make_shared<hcheck::MutualExclusion>();
     auto writer = [core, mx] {
       auto ctx = Self();
-      core->AcquireExclusive(ctx).Get();
+      core->Acquire(ctx).Get();
       mx->Enter();
       mx->Exit();
-      core->ReleaseExclusive(ctx).Get();
+      core->Release(ctx).Get();
     };
     hcheck::Thread t = hcheck::Spawn(writer);
     writer();
     t.Join();
     HCHECK_ASSERT(mx->entries() == 2);
     auto ctx = Self();
-    HCHECK_ASSERT(core->TryAcquireExclusive(ctx).Get());
-    core->ReleaseExclusive(ctx).Get();
+    HCHECK_ASSERT(core->TryAcquire(ctx).Get());
+    core->Release(ctx).Get();
   });
   EXPECT_FALSE(res.failed) << res.message << "\n" << res.trace;
 }
@@ -205,8 +205,8 @@ TEST(DrwLockHcheck, UpgradeDowngradeHandsOverWithoutWindow) {
       core->ReleaseShared(ctx).Get();
     }
     t.Join();
-    HCHECK_ASSERT(core->TryAcquireExclusive(ctx).Get());
-    core->ReleaseExclusive(ctx).Get();
+    HCHECK_ASSERT(core->TryAcquire(ctx).Get());
+    core->Release(ctx).Get();
   });
   EXPECT_FALSE(res.failed) << res.message << "\n" << res.trace;
 }
@@ -230,9 +230,9 @@ TEST(DrwLockHcheck, BrokenSweepViolatesExclusion) {
       while (readers_in->load(std::memory_order_acquire) == 0) {
         hcheck::Yield();
       }
-      core->AcquireExclusive(ctx).Get();
+      core->Acquire(ctx).Get();
       HCHECK_ASSERT(readers_in->load(std::memory_order_relaxed) == 0);
-      core->ReleaseExclusive(ctx).Get();
+      core->Release(ctx).Get();
       writer_done->store(1, std::memory_order_release);
     });
     auto ctx = Self();  // id 0: cluster 0, the skipped counter
@@ -272,10 +272,10 @@ TEST(DrwLockHcheck, BrokenUnderflowCaughtInBackout) {
       core->ReleaseShared(ctx).Get();
     });
     auto ctx = Self();
-    core->AcquireExclusive(ctx).Get();
+    core->Acquire(ctx).Get();
     writer_holds->store(1, std::memory_order_release);
     hcheck::Yield();
-    core->ReleaseExclusive(ctx).Get();
+    core->Release(ctx).Get();
     reader.Join();
   });
   EXPECT_TRUE(res.failed) << "hcheck failed to catch the drwlock reader-count underflow";

@@ -128,7 +128,7 @@ TEST(McsLocksHcheck, H2MutualExclusionAndRepair) {
     t.Join();
     HCHECK_ASSERT(lock->try_lock());
     lock->unlock();
-    *total_repairs += lock->repairs();
+    *total_repairs += lock->core().repairs();
   });
   EXPECT_FALSE(res.failed) << res.message << "\n" << res.trace;
   EXPECT_GT(*total_repairs, 0u)

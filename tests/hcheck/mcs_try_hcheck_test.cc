@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/hcheck/checker.h"
@@ -193,6 +194,35 @@ TEST(McsTryHcheck, V2TryLockStarvesAgainstSaturatedQueue) {
   });
   EXPECT_FALSE(res.failed) << res.message << "\n" << res.trace;
   EXPECT_GT(*failures, *successes);
+}
+
+// The op budget can run out at any shim op, including the schedule point in
+// the node pool guard's unlock -- which runs from std::lock_guard's noexcept
+// destructor, so an abort thrown there used to terminate the process.  Every
+// budget short of what one lock/unlock pair needs must instead end in a
+// reported "operation budget exceeded" failure.
+TEST(McsTryHcheck, OpBudgetInsidePoolGuardIsReported) {
+  auto pair = [] {
+    auto lock = std::make_shared<TryV2>();
+    lock->lock();
+    lock->unlock();
+  };
+  std::uint64_t budget = 1;
+  for (;; ++budget) {
+    ASSERT_LT(budget, 1000u) << "one lock/unlock pair never fit the budget";
+    hcheck::Options opts;
+    opts.max_ops_per_exec = budget;
+    hcheck::Result res = hcheck::Check(opts, pair);
+    if (!res.failed) {
+      break;
+    }
+    EXPECT_EQ(res.kind, "op-budget") << "budget " << budget;
+    EXPECT_NE(res.message.find("operation budget exceeded"), std::string::npos)
+        << "budget " << budget << ": " << res.message;
+  }
+  // The pair takes at least the pool guard's lock and unlock on both the
+  // alloc and the free path, so several budgets ran out inside a guard.
+  EXPECT_GT(budget, 4u);
 }
 
 }  // namespace

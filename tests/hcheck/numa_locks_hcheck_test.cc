@@ -164,7 +164,7 @@ TEST(NumaLocksHcheck, HmcsTMutualExclusionTwoThreads) {
     auto mx = std::make_shared<hcheck::MutualExclusion>();
     auto worker = [backend, core, mx] {
       auto ctx = Self();
-      HCHECK_ASSERT(core->AcquireBlocking(ctx).Get());
+      core->Acquire(ctx).Get();
       mx->Enter();
       mx->Exit();
       core->Release(ctx).Get();
@@ -186,7 +186,7 @@ TEST(NumaLocksHcheck, HmcsTCrossClusterHandoff) {
     auto mx = std::make_shared<hcheck::MutualExclusion>();
     auto worker = [core, mx] {
       auto ctx = Self();
-      HCHECK_ASSERT(core->AcquireBlocking(ctx).Get());
+      core->Acquire(ctx).Get();
       mx->Enter();
       mx->Exit();
       core->Release(ctx).Get();
@@ -221,7 +221,7 @@ TEST(NumaLocksHcheck, HmcsTTimeoutNeverOrphansNode) {
       }
     });
     auto ctx = Self();
-    HCHECK_ASSERT(core->AcquireBlocking(ctx).Get());
+    core->Acquire(ctx).Get();
     mx->Enter();
     mx->Exit();
     core->Release(ctx).Get();
@@ -232,7 +232,7 @@ TEST(NumaLocksHcheck, HmcsTTimeoutNeverOrphansNode) {
       HCHECK_ASSERT(level.total_nodes() == level.pooled_nodes());
     }
     // And the lock is still usable.
-    HCHECK_ASSERT(core->AcquireBlocking(ctx).Get());
+    core->Acquire(ctx).Get();
     core->Release(ctx).Get();
   });
   EXPECT_FALSE(res.failed) << res.message << "\n" << res.trace;
@@ -256,7 +256,7 @@ TEST(NumaLocksHcheck, HmcsTBrokenAbandonLeaksNode) {
       }
     });
     auto ctx = Self();
-    HCHECK_ASSERT(core->AcquireBlocking(ctx).Get());
+    core->Acquire(ctx).Get();
     core->Release(ctx).Get();
     t.Join();
     for (std::uint32_t c = 0; c < backend->NumClusters() + 1; ++c) {

@@ -134,7 +134,7 @@ TEST(NativeLocks, H2ReportsRepairsUnderContention) {
   lock.unlock();
   waiter.join();
   EXPECT_TRUE(waiter_done.load());
-  EXPECT_GT(lock.repairs(), 0u);
+  EXPECT_GT(lock.core().repairs(), 0u);
 }
 
 TEST(NativeLocks, H1RarelyRepairsUncontended) {
@@ -143,7 +143,7 @@ TEST(NativeLocks, H1RarelyRepairsUncontended) {
     lock.lock();
     lock.unlock();
   }
-  EXPECT_EQ(lock.repairs(), 0u);
+  EXPECT_EQ(lock.core().repairs(), 0u);
 }
 
 TEST(NativeLocks, TryLockOnFreeLockSucceeds) {

@@ -161,27 +161,37 @@ TEST(ProfiledContention, ProfilingDoesNotPerturbTheSimulation) {
 }
 
 TEST(LockStress, SiteHookDoesNotPerturbStressResults) {
-  hsim::LockStressParams params;
-  params.kind = hsim::LockKind::kMcsH2;
-  params.processors = 8;
-  params.hold = hsim::UsToTicks(2);
-  params.warmup = hsim::UsToTicks(100);
-  params.duration = hsim::UsToTicks(1000);
-  const hsim::LockStressResult bare = hsim::RunLockStress(params);
+  // Every kind: the hook sits in each algorithm core (and DRW's writer side).
+  for (const hsim::LockKind kind :
+       {hsim::LockKind::kSpin35us, hsim::LockKind::kSpin2ms, hsim::LockKind::kMcs,
+        hsim::LockKind::kMcsH1, hsim::LockKind::kMcsH2, hsim::LockKind::kCna,
+        hsim::LockKind::kHmcsT, hsim::LockKind::kFissile, hsim::LockKind::kDrw}) {
+    SCOPED_TRACE(hsim::LockKindName(kind));
+    hsim::LockStressParams params;
+    params.kind = kind;
+    params.processors = 8;
+    params.hold = hsim::UsToTicks(2);
+    params.warmup = hsim::UsToTicks(100);
+    params.duration = hsim::UsToTicks(1000);
+    const hsim::LockStressResult bare = hsim::RunLockStress(params);
 
-  LockSiteStats site("stress/mcs-h2", 4);
-  params.site = &site;
-  const hsim::LockStressResult profiled = hsim::RunLockStress(params);
+    LockSiteStats site(std::string("stress/") + hsim::LockKindName(kind), 4);
+    params.site = &site;
+    const hsim::LockStressResult profiled = hsim::RunLockStress(params);
 
-  EXPECT_EQ(profiled.acquisitions, bare.acquisitions);
-  EXPECT_EQ(profiled.window_ops, bare.window_ops);
-  EXPECT_EQ(profiled.spin_retries, bare.spin_retries);
-  EXPECT_EQ(profiled.mcs_repairs, bare.mcs_repairs);
-  EXPECT_EQ(profiled.acquire_latency.sum(), bare.acquire_latency.sum());
-  EXPECT_EQ(profiled.acquire_latency.max(), bare.acquire_latency.max());
-  // And the site actually observed the run.
-  EXPECT_EQ(site.acquisitions(), profiled.acquisitions);
-  EXPECT_GT(site.contended(), 0u);
+    EXPECT_EQ(profiled.acquisitions, bare.acquisitions);
+    EXPECT_EQ(profiled.window_ops, bare.window_ops);
+    EXPECT_EQ(profiled.spin_retries, bare.spin_retries);
+    EXPECT_EQ(profiled.mcs_repairs, bare.mcs_repairs);
+    EXPECT_EQ(profiled.acquire_latency.sum(), bare.acquire_latency.sum());
+    EXPECT_EQ(profiled.acquire_latency.max(), bare.acquire_latency.max());
+    EXPECT_EQ(profiled.bus_wait, bare.bus_wait);
+    EXPECT_EQ(profiled.mem_wait, bare.mem_wait);
+    // And the site actually observed the run.
+    EXPECT_EQ(site.acquisitions(), profiled.acquisitions);
+    EXPECT_EQ(site.hold().count(), site.acquisitions());
+    EXPECT_GT(site.contended(), 0u);
+  }
 }
 
 }  // namespace

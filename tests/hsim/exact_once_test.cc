@@ -45,6 +45,19 @@ TEST(ExactOnceTest, DedupWindowVerdicts) {
   EXPECT_EQ(w.Admit(3), Admission::kFresh);
 }
 
+// A completion of n landing after n+1's must not move the mark back: a
+// retransmit of n+1 is answered from the cache, not admitted as fresh.
+TEST(ExactOnceTest, DedupWindowIgnoresOlderCompletion) {
+  DedupWindow<TestPacket> w;
+  EXPECT_EQ(w.Admit(1), Admission::kFresh);
+  EXPECT_EQ(w.Admit(2), Admission::kFresh);
+  w.Complete(2, Reply(2, 20));
+  w.Complete(1, Reply(1, 10));
+  EXPECT_EQ(w.Admit(2), Admission::kResendCached);
+  EXPECT_EQ(w.cached_reply().body, 20);
+  EXPECT_EQ(w.Admit(1), Admission::kDiscard);
+}
+
 TEST(ExactOnceTest, CallSlotRejectsStaleAndDuplicateReplies) {
   CallSlot<TestPacket> slot;
   EXPECT_FALSE(slot.busy());

@@ -13,10 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "src/hsim/engine.h"
-#include "src/hsim/locks/mcs_lock.h"
-#include "src/hsim/locks/numa_lock.h"
 #include "src/hsim/locks/sim_lock.h"
-#include "src/hsim/locks/spin_lock.h"
 #include "src/hsim/machine.h"
 #include "src/hsim/task.h"
 #include "src/hsim/types.h"

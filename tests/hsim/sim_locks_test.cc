@@ -9,11 +9,8 @@
 #include <gtest/gtest.h>
 
 #include "src/hsim/engine.h"
-#include "src/hsim/locks/mcs_lock.h"
-#include "src/hsim/locks/numa_lock.h"
 #include "src/hsim/locks/reserve_bit.h"
 #include "src/hsim/locks/sim_lock.h"
-#include "src/hsim/locks/spin_lock.h"
 #include "src/hsim/machine.h"
 #include "src/hsim/task.h"
 #include "src/hsim/types.h"
@@ -207,7 +204,7 @@ TEST(McsRepair, H2AlwaysRepairsWhenSuccessorExists) {
   }
   engine.RunUntilIdle();
   // Three releases happen with a successor queued; each must repair.
-  EXPECT_EQ(lock.repairs(), 3u);
+  EXPECT_EQ(lock.core().repairs(), 3u);
   ASSERT_EQ(order.size(), 4u);
 }
 
@@ -221,7 +218,7 @@ TEST(McsRepair, H1RepairsOnlyOnRaceWindow) {
     engine.Spawn(AcquireOnce(&engine, &machine.processor(p), &lock, p * 2000, &order, 100));
   }
   engine.RunUntilIdle();
-  EXPECT_EQ(lock.repairs(), 0u);
+  EXPECT_EQ(lock.core().repairs(), 0u);
 }
 
 TEST(McsRepair, UncontendedReacquireWorksAfterRepair) {
